@@ -29,15 +29,12 @@ so the speedups are tracked across runs.
 import time
 from dataclasses import replace
 
+from repro import obs
 from repro.codegen.wrapper import GenerationOptions, generate_test_case
 from repro.sim import Simulator, TraceArtifactCache
 from repro.sim.artifact import TraceArtifact
 from repro.sim.config import CacheGeometry, core_by_name
-from repro.sim.events import (
-    engine_path_counts,
-    reset_engine_path_counts,
-    simulate_branches,
-)
+from repro.sim.events import simulate_branches
 
 from harness import print_header, save_artifact
 
@@ -81,9 +78,9 @@ TOURNAMENT_KNOBS = dict(SWEEP_KNOBS, BEQ=4, BNE=2)
 #: of this PR is that streaming traces and tournament predictors no
 #: longer fall back to per-access loops.
 FORBIDDEN_PATHS = (
-    "memory.reference",
-    "memory.vectorized.straight",
-    "branch.reference",
+    "engine_path.memory.reference",
+    "engine_path.memory.vectorized.straight",
+    "engine_path.branch.reference",
 )
 
 
@@ -189,11 +186,11 @@ class TestConfigBatch:
         per_config_s, per_config = timed_sweep(
             cores, program, "vectorized", config_batch=False
         )
-        reset_engine_path_counts()
+        obs.reset("engine_path.")
         batched_s, batched = timed_sweep(
             cores, program, "vectorized", config_batch=True
         )
-        paths = engine_path_counts()
+        paths = obs.counters("engine_path.")
 
         batch_speedup = per_config_s / max(batched_s, 1e-9)
         reference_speedup = reference_s / max(batched_s, 1e-9)
@@ -237,7 +234,7 @@ class TestConfigBatch:
             assert not paths.get(forbidden), (
                 f"batched sweep fell back to {forbidden}: {paths}"
             )
-        assert paths.get("memory.vectorized.aperiodic"), (
+        assert paths.get("engine_path.memory.vectorized.aperiodic"), (
             f"expected the exact aperiodic path to carry the sweep: "
             f"{paths}"
         )

@@ -26,6 +26,7 @@ wall-clock gate below.  Times land in ``results/BENCH_tuning.json``
 
 import time
 
+from repro import obs
 from repro.codegen.wrapper import (
     GenerationOptions,
     KNOB_INSTRUCTIONS,
@@ -35,7 +36,6 @@ from repro.core.platform import PerformancePlatform
 from repro.exec.backend import SerialBackend
 from repro.exec.jobs import evaluate_configs
 from repro.sim.config import core_by_name
-from repro.sim.events import engine_path_counts, reset_engine_path_counts
 
 from harness import print_header, save_artifact
 
@@ -67,11 +67,12 @@ BASE_KNOBS = dict(ADD=4, MUL=1, FADDD=1, FMULD=1, BEQ=2, BNE=1,
 
 #: Paths that must never appear in the batched arm: every chunk goes
 #: through the grouped job, so the per-config job stays cold.
-FORBIDDEN_PATHS = ("evaluate.single",)
+FORBIDDEN_PATHS = ("engine_path.evaluate.single",)
 #: Paths the batched arm must exercise: the grouped job itself plus the
 #: config-batched shared pass for all three event families.
-REQUIRED_PATHS = ("evaluate.batch", "evaluate.group",
-                  "icache.batch", "memory.batch", "branch.batch")
+REQUIRED_PATHS = ("engine_path.evaluate.batch", "engine_path.evaluate.group",
+                  "engine_path.icache.batch", "engine_path.memory.batch",
+                  "engine_path.branch.batch")
 
 
 def scale_profile(knobs: dict, factor: int) -> dict:
@@ -148,12 +149,13 @@ class TestTuningBatch:
         ).evaluate(generate_test_case(BASE_KNOBS, options))
 
         per_config_s, per_config = timed_arm(configs, options, False)
-        reset_engine_path_counts()
+        obs.reset("engine_path.")
         batched_s, batched = timed_arm(configs, options, True)
-        paths = engine_path_counts()
+        paths = obs.counters("engine_path.")
 
         speedup = per_config_s / max(batched_s, 1e-9)
-        groups_per_run = paths.get("evaluate.group", 0) // REPEATS
+        groups = paths.get("engine_path.evaluate.group", 0)
+        groups_per_run = groups // REPEATS
 
         print(f"configs      : {len(configs)} "
               f"({GENERATIONS} generations x {POPULATION} individuals, "

@@ -222,18 +222,22 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     except ValueError:  # pragma: no cover — not the main thread
         pass
     print(f"worker joining coordinator at {args.addr}", flush=True)
-    executed = run_worker(
-        args.addr,
-        name=args.name,
-        cache_dir=args.cache_dir,
-        cache_max_entries=args.cache_max_entries,
-        connect_retry_s=args.connect_retry,
-        max_jobs=args.max_jobs,
-        heartbeat_s=(WORKER_HEARTBEAT_S if args.heartbeat is None
-                     else args.heartbeat),
-        secret=args.secret,
-        stop=stop,
-    )
+    try:
+        executed = run_worker(
+            args.addr,
+            name=args.name,
+            cache_dir=args.cache_dir,
+            cache_max_entries=args.cache_max_entries,
+            connect_retry_s=args.connect_retry,
+            max_jobs=args.max_jobs,
+            heartbeat_s=(WORKER_HEARTBEAT_S if args.heartbeat is None
+                         else args.heartbeat),
+            secret=args.secret,
+            stop=stop,
+        )
+    except (ValueError, RuntimeError) as exc:
+        # A bad --heartbeat, or the coordinator's reject reason.
+        raise SystemExit(f"worker: {exc}")
     print(f"worker done ({executed} jobs)", flush=True)
     return 0
 
@@ -491,9 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
                                           "connect (default 10)")
     worker.add_argument("--heartbeat", type=float, default=None,
                         metavar="S",
-                        help="ping interval proving liveness mid-job "
-                             "(default 2; 0 falls back to the v1 "
-                             "idle-polling protocol)")
+                        help="ping interval proving liveness mid-job, "
+                             "in seconds (default 2; must be > 0)")
     worker.add_argument("--max-jobs", type=int, default=None, metavar="N",
                         help="exit after N jobs (default: run until "
                              "the coordinator shuts down)")

@@ -10,8 +10,10 @@ a serial run no matter how many workers join, leave, or crash.
 
 The coordinator is multi-tenant: ``python -m repro.cli serve`` runs one
 as a persistent always-on cluster, and any number of
-:class:`~repro.dist.client.ClientSession` tenants (the
-``backend=dist --dist-addr`` path) submit batches concurrently.  A
+:class:`~repro.dist.client.ClientSession` tenants submit batches
+concurrently.  A session is the only way jobs enter a coordinator: a
+``backend=dist`` run without ``--dist-addr`` joins its own private
+loopback cluster as one.  A
 stride scheduler interleaves dispatch across sessions proportionally to
 each one's ``priority``, an optional shared secret gates joins behind an
 HMAC challenge, and clients can prefetch trace artifacts to the worker

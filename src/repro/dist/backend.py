@@ -1,20 +1,22 @@
 """``DistributedBackend``: cluster execution as an ExecutionBackend.
 
 Selecting ``backend=dist`` gives every tuner and use case multi-host
-fan-out with zero call-site changes, in one of two modes:
+fan-out with zero call-site changes.  Every batch travels through one
+:class:`~repro.dist.client.ClientSession`; the two modes differ only in
+whose cluster the session joins:
 
 * **Owner mode** (no ``dist_addr``): the backend starts a private
-  :class:`~repro.dist.coordinator.Coordinator` inside the tuning
-  process on an ephemeral loopback port and keeps ``--dist-workers``
-  local worker processes alive through an elastic
-  :class:`~repro.dist.worker.WorkerPool` — a self-contained cluster
-  that lives and dies with this run.
+  :class:`~repro.dist.coordinator.Coordinator` on an ephemeral loopback
+  port, keeps ``--dist-workers`` local worker processes alive through
+  an elastic :class:`~repro.dist.worker.WorkerPool`, and joins that
+  cluster as its only client session — a self-contained cluster that
+  lives and dies with this run.
 * **Client mode** (``dist_addr`` given): the address names an
   *external persistent* cluster (``repro.cli serve``); the backend
-  spawns and owns **nothing**.  It opens a
-  :class:`~repro.dist.client.ClientSession`, optionally prefetches the
-  newest local trace artifacts to the worker fleet, and submits its
-  batches into the shared fair scheduler alongside every other tenant.
+  spawns and owns **nothing**.  It opens its session there, prefetches
+  the newest local trace artifacts to the worker fleet (owner-mode
+  workers attach the same cache dir instead), and submits its batches
+  into the shared fair scheduler alongside every other tenant.
 
 Either way the contract is the same as every other backend: ``map(fn,
 items)`` in, ordered results out, bit-identical to serial execution;
@@ -138,7 +140,6 @@ class DistributedBackend(CacheSettingsMixin):
         self.coordinator: Coordinator | None = None
         self.pool: WorkerPool | None = None
         self.client: ClientSession | None = None
-        self._prefetched = False
         self._broken = False
 
     @property
@@ -146,30 +147,23 @@ class DistributedBackend(CacheSettingsMixin):
         """Chunking hint: live cluster size once workers have joined.
 
         An explicit ``jobs=`` always wins.  Otherwise, once the
-        coordinator has connections — or the client session's status
-        probes have counted the shared cluster's workers — the hint is
-        that live count; sizing chunks for an external cluster from
-        this host's ``cpu_count`` would be unrelated to reality.
-        Before the first connection it falls back to the
+        session's status probes have counted the cluster's workers, the
+        hint is that live count; sizing chunks for an external cluster
+        from this host's ``cpu_count`` would be unrelated to reality.
+        Before the first worker is counted it falls back to the
         spawn-count/core-count floor.
         """
         if self._jobs_explicit is not None:
             return self._jobs_explicit
-        coordinator = self.coordinator
-        if coordinator is not None:
-            live = coordinator.worker_count()
-            if live > 0:
-                return live
         client = self.client
-        if client is not None:
-            live = client.workers_live() or 0
-            if live > 0:
-                return live
-        return self._jobs_floor
+        live = client.workers_live() if client is not None else None
+        return live or self._jobs_floor
 
     # -- lifecycle ------------------------------------------------------
 
     def _ensure_started(self) -> Coordinator | None:
+        """Start (once) the owner-mode loopback cluster; ``None`` when
+        this host cannot bind sockets or spawn processes."""
         if self._broken:
             return None
         if self.coordinator is not None:
@@ -202,17 +196,25 @@ class DistributedBackend(CacheSettingsMixin):
         self.coordinator = coordinator
         return coordinator
 
-    def _ensure_client(self) -> ClientSession:
-        """Open (once) the session against the external cluster.
+    def _ensure_session(self) -> ClientSession | None:
+        """Open (once) this run's session; ``None`` when owner mode
+        cannot start its loopback cluster (serial degradation).
 
-        Failures are loud: the user explicitly pointed ``dist_addr`` at
-        a persistent cluster, so an unreachable or rejecting
-        coordinator must never degrade to a silent local run.
+        Client-mode failures are loud: the user explicitly pointed
+        ``dist_addr`` at a persistent cluster, so an unreachable or
+        rejecting coordinator must never degrade to a silent local run.
         """
         if self.client is not None:
             return self.client
+        if self.client_mode:
+            addr = self.addr
+        else:
+            coordinator = self._ensure_started()
+            if coordinator is None:
+                return None
+            addr = coordinator.addr
         session = ClientSession(
-            self.addr, session=self.session_name,
+            addr, session=self.session_name,
             priority=self.priority, secret=self.secret,
         )
         try:
@@ -221,20 +223,18 @@ class DistributedBackend(CacheSettingsMixin):
             # OSError: TCP connect failed.  RuntimeError: the socket
             # opened but the session never came up (half-dead listener,
             # rejected secret — the cause rides along in the message).
+            hint = (f"; start one with 'python -m repro.cli serve "
+                    f"--addr {addr}'" if self.client_mode else "")
             raise RuntimeError(
-                f"cannot reach dist coordinator at {self.addr}: {exc}; "
-                f"start one with 'python -m repro.cli serve --addr "
-                f"{self.addr}'"
+                f"cannot reach dist coordinator at {addr}: {exc}{hint}"
             ) from exc
         self.client = session
-        self._prefetch_recent(session)
+        if self.client_mode:
+            self._prefetch_recent(session)
         return session
 
     def _prefetch_recent(self, session: ClientSession) -> None:
         """Push the newest local artifacts before the first dispatch."""
-        if self._prefetched:
-            return
-        self._prefetched = True
         spec = self.artifact_store_spec()
         if spec is None:
             return
@@ -287,40 +287,11 @@ class DistributedBackend(CacheSettingsMixin):
         items = list(items)
         if not items:
             return
-        if self.client_mode:
-            yield from self._client_stream(fn, items)
-            return
-        coordinator = self._ensure_started()
-        if coordinator is None:
+        session = self._ensure_session()
+        if session is None:
             for item in items:
                 yield fn(item)
             return
-        job_ids = [
-            coordinator.submit(dumps_payload((fn, item))) for item in items
-        ]
-        try:
-            landed: dict[int, tuple[str, object]] = {}
-            cursor = 0
-            for job_id, outcome in coordinator.as_completed(
-                job_ids, worker_grace=self.worker_grace
-            ):
-                landed[job_id] = outcome
-                while cursor < len(job_ids) and job_ids[cursor] in landed:
-                    status, value = landed.pop(job_ids[cursor])
-                    if status != "ok":
-                        raise RuntimeError(
-                            f"distributed job failed:\n{value}"
-                        )
-                    yield loads_payload(value)
-                    cursor += 1
-        finally:
-            # Also covers abandoned streams (caller broke out early) and
-            # failed jobs: their queue entries become no-ops.
-            coordinator.forget(job_ids)
-
-    def _client_stream(self, fn: Callable, items: list) -> Iterator:
-        """One batch through the shared cluster as a client session."""
-        session = self._ensure_client()
         tags = [
             session.submit(dumps_payload((fn, item))) for item in items
         ]
@@ -340,7 +311,7 @@ class DistributedBackend(CacheSettingsMixin):
                     yield loads_payload(value)
                     cursor += 1
         finally:
-            # Abandoned streams and failures: tell the cluster to drop
-            # whatever it still holds for this batch, and forget any
-            # outcome the caller never consumed.
+            # Every batch ends here: forget its consumed outcomes, and
+            # for abandoned streams and failures, tell the cluster to
+            # drop whatever it still holds of the batch.
             session.cancel(tags)

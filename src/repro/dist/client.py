@@ -1,19 +1,21 @@
-"""Client side of the session protocol: one tenant of a shared cluster.
+"""Client side of the session protocol: one tenant of a cluster.
 
-A :class:`ClientSession` connects to a *persistent* coordinator
-(``repro.cli serve``) the way a worker does — one TCP connection, a
-``hello``, heartbeats — but with ``role: "client"``: the coordinator
-opens a job namespace for it, schedules its ``submit`` frames fairly
-against every other session, and pushes each result back as a
-``batch_result`` the moment it lands.  Nothing about the cluster is
-owned by this process; many sessions from many machines multiplex the
-same worker fleet concurrently.
+A :class:`ClientSession` is the only way jobs enter a
+:class:`~repro.dist.coordinator.Coordinator`.  It connects the way a
+worker does — one TCP connection, a ``hello``, heartbeats — but with
+``role: "client"``: the coordinator opens a job namespace for it,
+schedules its ``submit`` frames fairly against every other session, and
+pushes each result back as a ``batch_result`` the moment it lands.
+Many sessions from many machines can multiplex one persistent cluster
+(``repro.cli serve``); owner-mode
+:class:`~repro.dist.backend.DistributedBackend` opens one against the
+private loopback coordinator it starts.
 
-The API mirrors the :class:`~repro.dist.coordinator.Coordinator` future
-store (:meth:`submit` / :meth:`wait_next` / :meth:`as_completed` /
-:meth:`cancel`), so :class:`~repro.dist.backend.DistributedBackend` can
-drive either transparently.  Job identifiers here are client-chosen
-*tags*; the coordinator maps them to its own global job ids internally.
+The API is a small future store (:meth:`submit` / :meth:`wait_next` /
+:meth:`as_completed` / :meth:`cancel`).  Job identifiers here are
+client-chosen *tags*; the coordinator maps them to its own global job
+ids internally.  Only outcomes of submitted, uncancelled tags are kept,
+so a result that races its own ``cancel`` is dropped on arrival.
 
 Liveness is symmetric to the worker side: a heartbeat thread pings so
 the coordinator never evicts a busy session, and a receiver thread
@@ -31,14 +33,11 @@ import time
 
 from repro import obs
 from repro.dist.protocol import (
-    FRAME_TYPES,
-    MSG_AUTH_REJECT,
     MSG_BATCH_RESULT,
     MSG_CANCEL,
     MSG_HELLO,
-    MSG_PONG,
     MSG_PREFETCH,
-    MSG_SHUTDOWN,
+    MSG_REJECT,
     MSG_STATUS_REPLY,
     MSG_STATUS_REQUEST,
     MSG_SUBMIT,
@@ -52,12 +51,17 @@ from repro.dist.protocol import (
 )
 from repro.dist.worker import WORKER_HEARTBEAT_S, _heartbeat_loop
 
-#: Default empty-cluster grace, matching the coordinator-side value.
+#: How long a wait tolerates an empty cluster before concluding no
+#: worker will ever arrive.
 DEFAULT_WORKER_GRACE_S = 60.0
 
-#: How often a blocked wait re-probes the cluster status (worker
-#: counts drive the empty-cluster grace).
+#: How often a blocked wait re-probes the cluster status while the last
+#: probe counted workers (worker counts drive the empty-cluster grace;
+#: an empty count is re-probed every :data:`_WAIT_TICK_S` instead).
 _STATUS_PROBE_S = 2.0
+
+#: Longest a blocked wait sleeps before re-checking its deadlines.
+_WAIT_TICK_S = 0.25
 
 #: How long :meth:`ClientSession.start` waits for the first status
 #: reply — this is what surfaces an auth rejection at open time
@@ -88,10 +92,10 @@ class ClientSession:
     #: and the lifecycle flags are shared between the receiver thread
     #: and caller threads.
     GUARDED_BY = {
+        "_pending": "_cv",
         "_outcomes": "_cv",
         "_next_tag": "_cv",
         "_report": "_cv",
-        "_workers_live": "_cv",
         "_error": "_cv",
         "_closed": "_cv",
     }
@@ -117,11 +121,14 @@ class ClientSession:
         self._cv = threading.Condition()
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
+        #: submitted tags whose outcome has neither landed nor been
+        #: cancelled; only these may enter ``_outcomes``.
+        self._pending: set[int] = set()
         #: tag -> ("ok", payload_bytes) | ("error", text)
         self._outcomes: dict[int, tuple[str, object]] = {}
         self._next_tag = 0
+        #: latest ``status_reply`` report (``None`` until one answers).
         self._report: dict | None = None
-        self._workers_live: int | None = None
         self._error: str | None = None
         self._closed = False
 
@@ -204,7 +211,7 @@ class ClientSession:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- submission API (mirrors Coordinator) ---------------------------
+    # -- submission API -------------------------------------------------
 
     def submit(self, payload: bytes) -> int:
         """Enqueue one pickled job; returns its session-local tag."""
@@ -215,6 +222,7 @@ class ClientSession:
                 raise RuntimeError(self._error)
             tag = self._next_tag
             self._next_tag += 1
+            self._pending.add(tag)
         self._send({"type": MSG_SUBMIT, "job": tag}, payload)
         obs.inc("session.jobs_submitted")
         return tag
@@ -230,9 +238,11 @@ class ClientSession:
         obs.inc("session.cancels")
         with self._cv:
             if tags is None:
+                self._pending.clear()
                 self._outcomes.clear()
             else:
                 for tag in header["jobs"]:
+                    self._pending.discard(tag)
                     self._outcomes.pop(tag, None)
 
     def prefetch(self, artifact) -> None:
@@ -253,10 +263,15 @@ class ClientSession:
     ) -> tuple[int, tuple[str, object]]:
         """Block until *one* of ``tags`` resolves; return it.
 
-        Same contract as :meth:`Coordinator.wait_next`: ``TimeoutError``
-        when ``timeout`` elapses, ``RuntimeError`` when the session
-        breaks (coordinator gone, shutdown, auth) or the cluster stays
-        empty for ``worker_grace`` seconds.
+        Returns ``(tag, outcome)`` for the first resolved tag in
+        ``tags`` order, where ``outcome`` is ``("ok", payload_bytes)``
+        or ``("error", text)``.  Raises ``TimeoutError`` when
+        ``timeout`` (which may be ``0`` for a pure poll) elapses first,
+        and ``RuntimeError`` when the session breaks (coordinator gone,
+        shutdown, rejection) or the cluster stays *empty* — no worker
+        ever connected, or every worker disconnected — for
+        ``worker_grace`` seconds (a mis-pointed address or a
+        fully-crashed worker fleet would otherwise block forever).
         """
         tags = list(tags)
         if not tags:
@@ -272,7 +287,7 @@ class ClientSession:
                         return tag, outcome
                 error = self._error
                 closed = self._closed
-                workers = self._workers_live
+                report = self._report
             if error is not None:
                 raise RuntimeError(error)
             if closed:
@@ -282,22 +297,29 @@ class ClientSession:
                 raise TimeoutError(
                     f"{len(tags)} distributed jobs still pending"
                 )
+            workers = _live_workers(report)
             if workers is None or workers > 0:
                 empty_since = None
             elif empty_since is None:
                 empty_since = now
             if empty_since is not None \
                     and now - empty_since >= worker_grace:
+                seen = (report or {}).get("counters", {}).get(
+                    "workers_seen", 0)
+                what = ("every worker disconnected from" if seen
+                        else "no worker connected to")
                 raise RuntimeError(
-                    f"no worker connected to {self.addr} for "
-                    f"{worker_grace:.0f}s with {len(tags)} jobs pending; "
-                    f"start workers with "
+                    f"{what} {self.addr} for {worker_grace:.0f}s with "
+                    f"{len(tags)} jobs pending; start workers with "
                     f"'python -m repro.cli worker --addr {self.addr}'"
                 )
-            if now - last_probe >= _STATUS_PROBE_S:
+            # An empty count is re-probed every tick: workers that join
+            # after the last probe must stop the grace clock promptly.
+            probe_every = _WAIT_TICK_S if workers == 0 else _STATUS_PROBE_S
+            if now - last_probe >= probe_every:
                 last_probe = now
                 self._send_best_effort({"type": MSG_STATUS_REQUEST})
-            waits = [0.25]
+            waits = [_WAIT_TICK_S]
             if deadline is not None:
                 waits.append(deadline - now)
             if empty_since is not None:
@@ -328,7 +350,7 @@ class ClientSession:
         """Worker count from the latest status probe (``None`` = no
         probe has answered yet)."""
         with self._cv:
-            return self._workers_live
+            return _live_workers(self._report)
 
     # -- wire -----------------------------------------------------------
 
@@ -336,14 +358,19 @@ class ClientSession:
         sock = self._sock
         if sock is None:
             raise RuntimeError("client session is not connected")
-        with self._send_lock:
-            send_msg(sock, header, payload)
+        try:
+            with self._send_lock:
+                send_msg(sock, header, payload)
+        except OSError as exc:
+            raise RuntimeError(
+                f"connection to coordinator at {self.addr} lost"
+            ) from exc
 
     def _send_best_effort(self, header: dict,
                           payload: bytes | None = None) -> None:
         try:
             self._send(header, payload)
-        except (RuntimeError, ConnectionError, OSError):
+        except RuntimeError:
             pass  # the receiver thread reports the broken link
 
     def _fail(self, message: str) -> None:
@@ -379,36 +406,33 @@ class ClientSession:
                         ))
                     obs.inc("session.results_received")
                     with self._cv:
-                        self._outcomes[tag] = outcome
-                        self._cv.notify_all()
+                        # Cancelled tags are no longer pending: a result
+                        # that raced its cancel is dropped, not leaked.
+                        if tag in self._pending:
+                            self._pending.discard(tag)
+                            self._outcomes[tag] = outcome
+                            self._cv.notify_all()
                 elif kind == MSG_STATUS_REPLY:
                     report = header.get("report")
-                    report = report if isinstance(report, dict) else {}
-                    workers = report.get("workers")
                     with self._cv:
-                        self._report = report
-                        self._workers_live = (
-                            len(workers) if isinstance(workers, list)
-                            else 0
-                        )
+                        self._report = report if isinstance(report, dict) \
+                            else {}
                         self._cv.notify_all()
-                elif kind == MSG_SHUTDOWN:
+                elif kind == MSG_REJECT:
                     self._fail(
-                        f"coordinator at {self.addr} shut down with "
-                        "this session active"
+                        f"coordinator at {self.addr} rejected this "
+                        f"session: {header.get('error', 'no reason given')}"
                     )
                     return
-                elif kind == MSG_AUTH_REJECT:
-                    self._fail(
-                        "coordinator rejected this session: "
-                        f"{header.get('error', 'authentication failed')}"
-                        " (set --dist-secret / REPRO_DIST_SECRET to the"
-                        " serve secret)"
-                    )
-                    return
-                elif kind == MSG_PONG or kind in FRAME_TYPES:
-                    pass  # heartbeat replies; frames not for clients
-                else:
-                    pass  # additive protocol: ignore unknown types
+                # Anything else (pongs, the auth challenge, frames from
+                # a newer coordinator) needs no action here.
         except (ConnectionError, OSError):
             self._fail(f"connection to coordinator at {self.addr} lost")
+
+
+def _live_workers(report: dict | None) -> int | None:
+    """Worker rows in a status report (``None``: no report yet)."""
+    if report is None:
+        return None
+    workers = report.get("workers")
+    return len(workers) if isinstance(workers, list) else 0

@@ -5,18 +5,17 @@ It listens on a TCP address, hands queued jobs to whatever workers
 connect, tracks which jobs each connection currently holds (its
 *leases*), and reschedules jobs whose worker dies or goes silent.
 
-Work arrives through *sessions*.  The in-process caller (the tuning
-process that created the coordinator) is session 0: :meth:`submit`
-enqueues pickled jobs, :meth:`wait` blocks until a set of job ids has
-resolved, and :meth:`as_completed` streams ``(job_id, outcome)`` pairs
-as results land.  Remote callers open their own sessions with a
-``hello`` whose ``role`` is ``"client"`` (protocol 3): their ``submit``
-frames land in a per-session queue, results are pushed back as
-``batch_result`` frames the moment they resolve, and nothing is
-retained for them.  Dispatch interleaves sessions by stride scheduling
-— each session accumulates virtual time at ``1 / priority`` per
-dispatched job and the furthest-behind session goes next — so a flood
-session cannot starve a small one.
+Work arrives only through *client sessions*: a peer whose ``hello``
+has ``role: "client"`` (a :class:`~repro.dist.client.ClientSession`)
+gets its own job namespace, its ``submit`` frames land in a per-session
+queue, results are pushed back as ``batch_result`` frames the moment
+they resolve, and nothing is retained.  The coordinator has no
+in-process job API: even the run that started it (owner-mode
+:class:`~repro.dist.backend.DistributedBackend`) joins over loopback as
+an ordinary session.  Dispatch interleaves sessions by stride
+scheduling — each session accumulates virtual time at ``1 / priority``
+per dispatched job and the furthest-behind session goes next — so a
+flood session cannot starve a small one.
 
 Session lifecycle: a client that disconnects (EOF) or is evicted for
 heartbeat silence has its session garbage-collected — queued jobs are
@@ -32,8 +31,7 @@ Fault model — three detectors, coarsest to finest:
   NAT half-open) keeps its socket open but stops sending ``ping``
   frames; once nothing has been received for ``heartbeat_timeout_s``
   the monitor thread closes the connection, which funnels into the same
-  reap path.  Only protocol >= 2 connections heartbeat, so v1 workers
-  are never evicted for silence.
+  reap path.  Observers are never evicted.
 * **Lease deadlines** — a *livelocked* worker heartbeats happily but
   never finishes its job; each lease carries a deadline
   (``lease_timeout_s``) after which the monitor thread requeues the job
@@ -44,11 +42,12 @@ Fault model — three detectors, coarsest to finest:
 A job that gets leased ``max_attempts`` times without resolving is
 declared poisonous and surfaces as an error instead of cycling forever.
 
-With a shared ``secret``, every accepted connection is challenged
-before its first frame is honored: the coordinator sends an
-``auth_challenge`` nonce and only a ``hello`` carrying the matching
-HMAC-SHA256 digest joins the cluster — anything else is told
-``auth_reject`` and dropped without touching live sessions.
+Admission: the first frame on every connection must be a ``hello``
+announcing :data:`~repro.dist.protocol.PROTOCOL_VERSION`.  With a
+shared ``secret``, the coordinator first sends an ``auth_challenge``
+nonce, and the ``hello`` must also carry the matching HMAC-SHA256
+digest.  Anything else is told ``reject`` and dropped without touching
+live sessions.
 """
 
 from __future__ import annotations
@@ -61,18 +60,16 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.dist.protocol import (
-    FRAME_TYPES,
     MSG_AUTH_CHALLENGE,
-    MSG_AUTH_REJECT,
     MSG_BATCH_RESULT,
     MSG_CANCEL,
     MSG_ERROR,
     MSG_HELLO,
-    MSG_IDLE,
     MSG_JOB,
     MSG_PING,
     MSG_PONG,
     MSG_PREFETCH,
+    MSG_REJECT,
     MSG_REQUEST,
     MSG_RESULT,
     MSG_SHUTDOWN,
@@ -80,6 +77,7 @@ from repro.dist.protocol import (
     MSG_STATUS_REPLY,
     MSG_STATUS_REQUEST,
     MSG_SUBMIT,
+    PROTOCOL_VERSION,
     ReceiveTimeout,
     auth_digest,
     format_addr,
@@ -88,10 +86,6 @@ from repro.dist.protocol import (
     send_msg,
 )
 
-#: How long :meth:`Coordinator.wait` tolerates an empty cluster before
-#: concluding no worker will ever arrive.
-DEFAULT_WORKER_GRACE_S = 60.0
-
 #: Default lease deadline: generous, because an expired lease on a
 #: merely *slow* worker wastes a rerun (benign) and burns an attempt
 #: (not benign once it reaches ``max_attempts``).  Hung workers are
@@ -99,8 +93,8 @@ DEFAULT_WORKER_GRACE_S = 60.0
 #: livelocked ones.  Set it above the worst-case single-job runtime.
 DEFAULT_LEASE_TIMEOUT_S = 600.0
 
-#: Evict a protocol >= 2 connection when nothing — pings included —
-#: has arrived for this long.  Workers ping every couple of seconds
+#: Evict a connection when nothing — pings included — has arrived for
+#: this long.  Workers ping every couple of seconds
 #: (:data:`repro.dist.worker.WORKER_HEARTBEAT_S`), so this tolerates
 #: deep scheduler stalls without false positives.
 DEFAULT_HEARTBEAT_TIMEOUT_S = 30.0
@@ -109,15 +103,12 @@ DEFAULT_HEARTBEAT_TIMEOUT_S = 30.0
 #: configured timeouts are shorter, e.g. in tests).
 _TICK_CEILING_S = 0.25
 
-#: How long a challenged peer gets to produce its signed ``hello``.
-AUTH_HANDSHAKE_TIMEOUT_S = 10.0
+#: How long a new connection gets to produce its (signed) ``hello``.
+HELLO_TIMEOUT_S = 10.0
 
 #: Retained prefetched artifacts (newest win): enough for a sweep's
 #: working set, bounded so a chatty client cannot balloon the server.
 PREFETCH_CAP = 32
-
-#: Session id of the in-process caller (always present).
-_LOCAL_SESSION = 0
 
 #: ``hello`` roles the coordinator recognizes; anything else is
 #: treated as a worker (the protocol is additive).
@@ -126,23 +117,19 @@ _ROLES = ("worker", "observer", "client")
 
 @dataclass
 class _Job:
-    """One queued unit of work (payload is pickled ``(fn, item)``)."""
+    """One queued unit of work (payload is pickled ``(fn, item)``).
+
+    A row lives in ``Coordinator._jobs`` from ``submit`` until it
+    resolves, is cancelled, or its session closes — never longer.
+    """
 
     id: int
     payload: bytes
+    #: owning session id.
+    session: int
+    #: the client-chosen ``submit`` tag the owner knows this job by.
+    tag: int
     attempts: int = 0
-    #: owning session id (session 0 is the in-process caller).
-    session: int = _LOCAL_SESSION
-    #: the id the owner knows this job by: the global id for the local
-    #: session, the client-chosen ``submit`` tag for remote sessions.
-    tag: int | None = None
-    #: resolved local jobs stay in ``_jobs`` until forgotten; this flag
-    #: (not membership) is what marks them done.
-    resolved: bool = False
-
-    def __post_init__(self) -> None:
-        if self.tag is None:
-            self.tag = self.id
 
 
 @dataclass(eq=False)  # identity hash: connections live in a set
@@ -158,7 +145,6 @@ class _Connection:
     #: for a fixed connection history.
     seq: int = 0
     name: str = ""
-    proto: int = 1
     #: what the peer's ``hello`` announced: ``"worker"`` (dispatched
     #: to, counted, evicted for silence), ``"observer"`` (monitoring
     #: only — none of the above), or ``"client"`` (owns a session;
@@ -176,10 +162,11 @@ class _Connection:
     leases: dict[int, float] = field(default_factory=dict)
     #: monotonic time of the last frame received (any type).
     last_recv: float = field(default_factory=time.monotonic)
-    #: a v2 connection waiting for work (blocked ``request``).
+    #: a worker waiting for work (blocked ``request``).
     hungry: bool = False
-    #: serializes frame writes — serve, monitor and submit threads all
-    #: send on the same socket.
+    #: serializes frame writes — this connection's serve thread, other
+    #: connections' serve threads (dispatch, results) and the monitor
+    #: thread all send on the same socket.
     send_lock: threading.Lock = field(default_factory=threading.Lock)
     #: eviction already triggered (the reap may still be in flight).
     evicting: bool = False
@@ -188,14 +175,14 @@ class _Connection:
 
 @dataclass(eq=False)
 class _Session:
-    """One tenant's job namespace (the in-process caller is session 0)."""
+    """One client connection's job namespace."""
 
     id: int
     name: str = ""
     #: fair-share weight: a priority-2 session receives twice the
     #: dispatch slots of a priority-1 session under contention.
     priority: float = 1.0
-    #: the owning client connection; ``None`` for the local session.
+    #: the owning client connection.
     conn: _Connection | None = None
     #: queued job ids, oldest first; lease-expiry requeues go in front.
     queue: deque[int] = field(default_factory=deque)
@@ -221,7 +208,7 @@ class Coordinator:
             before the monitor thread requeues it (``None`` disables
             lease deadlines; death/eviction rescheduling still works).
         heartbeat_timeout_s: seconds of total silence after which a
-            protocol >= 2 connection is evicted (``None`` disables
+            worker or client connection is evicted (``None`` disables
             eviction; EOF detection still works).
         secret: shared secret for untrusted interfaces; when set, every
             accepted connection must answer the ``auth_challenge``
@@ -235,7 +222,6 @@ class Coordinator:
     GUARDED_BY = {
         "_connections": "_cv",
         "_jobs": "_cv",
-        "_results": "_cv",
         "_sessions": "_cv",
         "_artifacts": "_cv",
         "_next_id": "_cv",
@@ -277,18 +263,13 @@ class Coordinator:
         self._threads: list[threading.Thread] = []
         self._connections: set[_Connection] = set()
         self._jobs: dict[int, _Job] = {}
-        #: the *local* session's resolved outcomes, keyed by job id —
-        #: client sessions have their results pushed, never stored.
-        self._results: dict[int, tuple[str, object]] = {}
-        self._sessions: dict[int, _Session] = {
-            _LOCAL_SESSION: _Session(id=_LOCAL_SESSION, name="local"),
-        }
+        self._sessions: dict[int, _Session] = {}
         #: prefetched artifacts, key -> (fingerprint, instructions,
         #: pickled payload); replayed to every worker that joins.
         self._artifacts: dict[str, tuple[str, int, bytes]] = {}
         self._next_id = 0
         self._next_seq = 0
-        self._next_session_id = _LOCAL_SESSION + 1
+        self._next_session_id = 1
         self._closing = False
         self._cv = threading.Condition()
         # observability counters
@@ -340,8 +321,8 @@ class Coordinator:
     def status_report(self) -> dict:
         """JSON-able cluster snapshot (the ``status_reply`` body).
 
-        Per-worker rows (name, protocol, leases held, jobs done, age of
-        the last received frame, latest ``status`` metrics), per-session
+        Per-worker rows (name, leases held, jobs done, age of the last
+        received frame, latest ``status`` metrics), per-session
         rows (queue depth, jobs in flight, jobs done), queue depths, the
         coordinator's lifetime counters, and the merge of every worker's
         latest metrics snapshot.
@@ -360,7 +341,6 @@ class Coordinator:
                 workers.append({
                     "name": conn.name or conn.peer,
                     "peer": conn.peer,
-                    "proto": conn.proto,
                     "leases": len(conn.leases),
                     "jobs_done": conn.jobs_done,
                     "heartbeat_age_s": round(now - conn.last_recv, 3),
@@ -400,9 +380,7 @@ class Coordinator:
                 "pending": sum(
                     len(s.queue) for s in self._sessions.values()
                 ),
-                "unresolved": sum(
-                    1 for j in self._jobs.values() if not j.resolved
-                ),
+                "unresolved": len(self._jobs),
                 "counters": {
                     "workers_seen": self.workers_seen,
                     "jobs_completed": self.jobs_completed,
@@ -420,7 +398,7 @@ class Coordinator:
         return report
 
     def shutdown(self) -> None:
-        """Stop accepting, disconnect peers, fail pending waits."""
+        """Stop accepting and disconnect every peer (sessions see EOF)."""
         with self._cv:
             if self._closing:
                 return
@@ -475,140 +453,6 @@ class Coordinator:
                 tick = min(tick, bound / 4.0)
         return max(0.01, tick)
 
-    # -- local-session client API ---------------------------------------
-
-    def submit(self, payload: bytes) -> int:
-        """Enqueue one pickled job on the local session; returns its id."""
-        with self._cv:
-            if self._closing:
-                raise RuntimeError("coordinator is shut down")
-            job_id = self._next_id
-            self._next_id += 1
-            session = self._sessions[_LOCAL_SESSION]
-            self._jobs[job_id] = _Job(id=job_id, payload=payload,
-                                      session=_LOCAL_SESSION, tag=job_id)
-            session.queue.append(job_id)
-            session.submitted += 1
-        self._dispatch()
-        return job_id
-
-    def wait_next(
-        self,
-        job_ids,
-        timeout: float | None = None,
-        worker_grace: float = DEFAULT_WORKER_GRACE_S,
-    ) -> tuple[int, tuple[str, object]]:
-        """Block until *one* of ``job_ids`` resolves; return it.
-
-        Returns ``(job_id, outcome)`` for the first resolved id in
-        ``job_ids`` order.  Raises ``TimeoutError`` when ``timeout``
-        (which may be ``0`` for a pure poll) elapses first, and
-        ``RuntimeError`` when the cluster stays *empty* — no worker ever
-        connected, or every worker disconnected — for ``worker_grace``
-        seconds (a mis-pointed address or a fully-crashed worker fleet
-        would otherwise block forever).
-        """
-        job_ids = list(job_ids)
-        if not job_ids:
-            raise ValueError("wait_next needs at least one job id")
-        deadline = None if timeout is None else time.monotonic() + timeout
-        empty_since = time.monotonic()
-        with self._cv:
-            while True:
-                for job_id in job_ids:
-                    outcome = self._results.get(job_id)
-                    if outcome is not None:
-                        return job_id, outcome
-                if self._closing:
-                    raise RuntimeError(
-                        "coordinator shut down with jobs outstanding"
-                    )
-                now = time.monotonic()
-                if deadline is not None and now >= deadline:
-                    raise TimeoutError(
-                        f"{len(job_ids)} distributed jobs still pending"
-                    )
-                if any(c.role == "worker" for c in self._connections):
-                    empty_since = None
-                elif empty_since is None:
-                    empty_since = now
-                if empty_since is not None \
-                        and now - empty_since >= worker_grace:
-                    what = ("no worker connected to" if self.workers_seen
-                            == 0 else "every worker disconnected from")
-                    raise RuntimeError(
-                        f"{what} {self.addr} for {worker_grace:.0f}s with "
-                        f"{len(job_ids)} jobs pending; start workers with "
-                        f"'python -m repro.cli worker --addr {self.addr}'"
-                    )
-                waits = [0.5]
-                if deadline is not None:
-                    waits.append(deadline - now)
-                if empty_since is not None:
-                    waits.append(empty_since + worker_grace - now)
-                self._cv.wait(timeout=max(0.01, min(waits)))
-
-    def as_completed(
-        self,
-        job_ids,
-        timeout: float | None = None,
-        worker_grace: float = DEFAULT_WORKER_GRACE_S,
-    ):
-        """Yield ``(job_id, outcome)`` as results land, in landing order.
-
-        ``timeout`` bounds the *whole* iteration, not each step.  Ids
-        already resolved yield immediately; duplicates in ``job_ids``
-        yield once.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        pending = list(dict.fromkeys(job_ids))  # de-dup, keep order
-        while pending:
-            remaining = None if deadline is None \
-                else max(0.0, deadline - time.monotonic())
-            job_id, outcome = self.wait_next(
-                pending, timeout=remaining, worker_grace=worker_grace
-            )
-            pending.remove(job_id)
-            yield job_id, outcome
-
-    def wait(
-        self,
-        job_ids: list[int],
-        timeout: float | None = None,
-        worker_grace: float = DEFAULT_WORKER_GRACE_S,
-    ) -> list[tuple[str, object]]:
-        """Block until every job resolves; results in ``job_ids`` order.
-
-        Each entry is ``("ok", payload_bytes)`` or ``("error", text)``.
-        Same ``TimeoutError``/``RuntimeError`` behavior as
-        :meth:`wait_next`; ``timeout=0`` polls without blocking.
-        """
-        resolved = dict(self.as_completed(
-            job_ids, timeout=timeout, worker_grace=worker_grace
-        ))
-        return [resolved[job_id] for job_id in job_ids]
-
-    def forget(self, job_ids: list[int]) -> None:
-        """Drop resolved results the caller has consumed (bounded memory)."""
-        with self._cv:
-            for job_id in job_ids:
-                self._results.pop(job_id, None)
-                self._jobs.pop(job_id, None)
-
-    def prefetch(self, fingerprint: str, instructions: int,
-                 payload: bytes) -> int:
-        """Retain one pickled artifact and push it to the worker fleet.
-
-        Returns how many currently-connected workers it was pushed to;
-        workers that join later receive it with their ``hello``.
-        """
-        with self._cv:
-            sends = self._prefetch_locked(
-                fingerprint, instructions, payload, exclude=None
-            )
-        self._send_all(sends)
-        return len(sends)
-
     # -- connection handling --------------------------------------------
 
     def _accept_loop(self) -> None:
@@ -637,19 +481,13 @@ class Coordinator:
                 self._threads = [
                     t for t in self._threads if t.is_alive()
                 ] + [thread]
-                self._cv.notify_all()
             thread.start()
 
     def _serve(self, conn: _Connection) -> None:
         """Handle one connection until it drops or is evicted."""
         tick = self._tick_s()
-        # A connection only counts toward workers_seen once its hello
-        # proves it is a worker, not an observer or client (and v1
-        # peers that never hello count on their first frame instead).
-        counted = False
         try:
-            if self.secret is not None \
-                    and not self._auth_handshake(conn, tick):
+            if not self._admit(conn, tick):
                 return
             while True:
                 try:
@@ -664,9 +502,7 @@ class Coordinator:
                     continue
                 conn.last_recv = time.monotonic()
                 kind = header.get("type")
-                if kind == MSG_HELLO:
-                    self._send_all(self._handle_hello(conn, header))
-                elif kind == MSG_PING:
+                if kind == MSG_PING:
                     with conn.send_lock:
                         send_msg(conn.sock, {"type": MSG_PONG})
                 elif kind == MSG_STATUS:
@@ -685,27 +521,20 @@ class Coordinator:
                 elif kind == MSG_REQUEST:
                     self._handle_request(conn)
                 elif kind == MSG_RESULT:
-                    self._resolve(conn, int(header["job"]), ("ok", payload))
+                    self._resolve(conn, int(header["job"]), "ok", payload)
                 elif kind == MSG_ERROR:
                     self._resolve(
-                        conn, int(header["job"]),
-                        ("error", str(header.get("error", "unknown error"))),
+                        conn, int(header["job"]), "error",
+                        str(header.get("error", "unknown error")),
                     )
                 elif kind == MSG_SUBMIT:
                     self._handle_submit(conn, header, payload)
                 elif kind == MSG_CANCEL:
                     self._handle_cancel(conn, header)
                 elif kind == MSG_PREFETCH:
-                    self._handle_prefetch(conn, header, payload)
-                elif kind not in FRAME_TYPES:
-                    # Additive protocol: a frame type from a newer peer
-                    # is ignored, never an error.
-                    pass
-                if not counted and conn.role == "worker":
-                    counted = True
-                    with self._cv:
-                        self.workers_seen += 1
-                        self._cv.notify_all()
+                    self._handle_prefetch(header, payload)
+                # Anything else (a repeated hello, a frame type from a
+                # newer peer) is ignored: the protocol is additive.
         except (ConnectionError, OSError, ValueError, KeyError):
             pass
         finally:
@@ -717,25 +546,29 @@ class Coordinator:
             except OSError:
                 pass
 
-    def _auth_handshake(self, conn: _Connection, tick: float) -> bool:
-        """Challenge a new connection; True once a signed hello arrived.
+    def _admit(self, conn: _Connection, tick: float) -> bool:
+        """Admit a new connection: True once a valid ``hello`` arrived.
 
-        Nothing the peer sends before a correctly-signed ``hello``
-        touches coordinator state, so a bad-secret (or no-secret) peer
-        is rejected without disturbing live sessions.
+        The first frame must be a ``hello`` announcing
+        :data:`PROTOCOL_VERSION`, signed with a fresh challenge nonce
+        when the coordinator holds a secret.  Anything else — no hello
+        within :data:`HELLO_TIMEOUT_S`, another protocol version, a bad
+        digest — is told ``reject`` before it touches coordinator state,
+        so a refused peer cannot disturb live sessions.
         """
-        assert self.secret is not None
-        nonce = make_nonce()
-        try:
-            with conn.send_lock:
-                send_msg(conn.sock, {
-                    "type": MSG_AUTH_CHALLENGE, "nonce": nonce,
-                })
-        except (ConnectionError, OSError):
-            return False
-        deadline = time.monotonic() + AUTH_HANDSHAKE_TIMEOUT_S
-        header: dict | None = None
-        while header is None:
+        nonce = None
+        if self.secret is not None:
+            nonce = make_nonce()
+            try:
+                with conn.send_lock:
+                    send_msg(conn.sock, {
+                        "type": MSG_AUTH_CHALLENGE, "nonce": nonce,
+                    })
+            except (ConnectionError, OSError):
+                return False
+        deadline = time.monotonic() + HELLO_TIMEOUT_S
+        header: dict = {}
+        while not header:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 break
@@ -747,36 +580,46 @@ class Coordinator:
                 with self._cv:
                     if self._closing:
                         return False
-                continue
         conn.last_recv = time.monotonic()
-        expected = auth_digest(self.secret, nonce)
-        supplied = str((header or {}).get("auth") or "")
-        if header is None or header.get("type") != MSG_HELLO \
-                or not hmac.compare_digest(supplied, expected):
-            with self._cv:
-                self.auth_rejections += 1
+        error = self._hello_error(header, nonce)
+        if error is not None:
             try:
                 with conn.send_lock:
-                    send_msg(conn.sock, {
-                        "type": MSG_AUTH_REJECT,
-                        "error": "authentication failed",
-                    })
+                    send_msg(conn.sock, {"type": MSG_REJECT, "error": error})
             except (ConnectionError, OSError):
                 pass
             return False
         self._send_all(self._handle_hello(conn, header))
         return True
 
+    def _hello_error(self, header: dict, nonce: str | None) -> str | None:
+        """Why a connection's first frame is refused (``None``: admit)."""
+        is_hello = header.get("type") == MSG_HELLO
+        if nonce is not None:
+            assert self.secret is not None
+            expected = auth_digest(self.secret, nonce).encode()
+            supplied = str(header.get("auth") or "").encode()
+            if not is_hello or not hmac.compare_digest(supplied, expected):
+                with self._cv:
+                    self.auth_rejections += 1
+                return ("authentication failed: wrong or missing shared "
+                        "secret (REPRO_DIST_SECRET)")
+        if not is_hello:
+            return "the first frame must be a hello"
+        if header.get("proto") != PROTOCOL_VERSION:
+            return (f"protocol {header.get('proto')!r} is not supported; "
+                    f"this coordinator speaks protocol {PROTOCOL_VERSION}")
+        return None
+
     def _handle_hello(self, conn: _Connection, header: dict):
-        """Record a peer's announce.
+        """Record an admitted peer's announce.
 
         Returns frames to send: the retained prefetched artifacts, for
-        a protocol >= 3 worker joining the cluster.
+        a worker joining the cluster.
         """
         conn.name = str(
             header.get("session") or header.get("worker") or conn.peer
         )
-        conn.proto = int(header.get("proto", 1))
         role = str(header.get("role", "worker"))
         conn.role = role if role in _ROLES else "worker"
         try:
@@ -785,7 +628,16 @@ class Coordinator:
             )
         except (TypeError, ValueError):
             conn.heartbeat_s = 0.0
-        sends: list[tuple[_Connection, dict, bytes | None]] = []
+        if conn.role == "worker":
+            with self._cv:
+                self.workers_seen += 1
+                return [
+                    (conn, {"type": MSG_PREFETCH,
+                            "fingerprint": fingerprint,
+                            "instructions": instructions}, payload)
+                    for fingerprint, instructions, payload
+                    in self._artifacts.values()
+                ]
         if conn.role == "client":
             try:
                 priority = float(header.get("priority", 1.0) or 1.0)
@@ -793,7 +645,7 @@ class Coordinator:
                 priority = 1.0
             priority = min(max(priority, 0.01), 100.0)
             with self._cv:
-                if conn.session_id is None and not self._closing:
+                if not self._closing:
                     session = _Session(
                         id=self._next_session_id, name=conn.name,
                         priority=priority, conn=conn,
@@ -809,17 +661,7 @@ class Coordinator:
                     self._sessions[session.id] = session
                     conn.session_id = session.id
                     self.sessions_opened += 1
-                    self._cv.notify_all()
-        elif conn.role == "worker" and conn.proto >= 3:
-            with self._cv:
-                sends = [
-                    (conn, {"type": MSG_PREFETCH,
-                            "fingerprint": fingerprint,
-                            "instructions": instructions}, payload)
-                    for fingerprint, instructions, payload
-                    in self._artifacts.values()
-                ]
-        return sends
+        return []
 
     def _handle_request(self, conn: _Connection) -> None:
         sends: list[tuple[_Connection, dict, bytes | None]]
@@ -829,10 +671,6 @@ class Coordinator:
             else:
                 conn.hungry = True
                 sends = self._dispatch_locked()
-                if conn.hungry and conn.proto < 2:
-                    # v1 workers poll: they expect an immediate reply.
-                    conn.hungry = False
-                    sends.append((conn, {"type": MSG_IDLE}, None))
         self._send_all(sends)
 
     def _handle_submit(self, conn: _Connection, header: dict,
@@ -854,7 +692,6 @@ class Coordinator:
             )
             session.queue.append(job_id)
             session.submitted += 1
-            self._cv.notify_all()
         self._dispatch()
 
     def _handle_cancel(self, conn: _Connection, header: dict) -> None:
@@ -886,52 +723,38 @@ class Coordinator:
                 del self._jobs[job_id]
                 session.cancelled += 1
                 self.jobs_cancelled += 1
-            self._cv.notify_all()
 
-    def _handle_prefetch(self, conn: _Connection, header: dict,
-                         payload: bytes | None) -> None:
-        """A client pushed a trace artifact for the worker fleet."""
-        if payload is None:
-            return
+    def _handle_prefetch(self, header: dict, payload: bytes | None) -> None:
+        """A client pushed a trace artifact: retain it for workers that
+        join later and fan it out to the current ones."""
         fingerprint = str(header.get("fingerprint") or "")
-        if not fingerprint:
+        if payload is None or not fingerprint:
             return
         try:
             instructions = int(header.get("instructions", 0))
         except (TypeError, ValueError):
             instructions = 0
+        frame = {"type": MSG_PREFETCH, "fingerprint": fingerprint,
+                 "instructions": instructions}
         with self._cv:
-            sends = self._prefetch_locked(
-                fingerprint, instructions, payload, exclude=conn
+            key = f"{fingerprint}-{instructions}"
+            # Re-insert so the newest artifacts survive the cap.
+            self._artifacts.pop(key, None)
+            self._artifacts[key] = (fingerprint, instructions, payload)
+            while len(self._artifacts) > PREFETCH_CAP:
+                del self._artifacts[next(iter(self._artifacts))]
+            targets = sorted(
+                (c for c in self._connections if c.role == "worker"),
+                key=lambda c: c.seq,
             )
-        self._send_all(sends)
+            self.prefetch_pushes += len(targets)
+        self._send_all([(c, frame, payload) for c in targets])
 
     def _session_for_locked(self, conn: _Connection) -> _Session | None:
         """The live session a client connection owns (caller holds _cv)."""
         if conn.session_id is None:
             return None
         return self._sessions.get(conn.session_id)
-
-    def _prefetch_locked(self, fingerprint: str, instructions: int,
-                         payload: bytes, exclude: _Connection | None):
-        """Retain one artifact, build its fan-out (caller holds _cv)."""
-        key = f"{fingerprint}-{instructions}"
-        # Re-insert so the newest artifacts survive the cap.
-        self._artifacts.pop(key, None)
-        self._artifacts[key] = (fingerprint, instructions, payload)
-        while len(self._artifacts) > PREFETCH_CAP:
-            del self._artifacts[next(iter(self._artifacts))]
-        targets = sorted(
-            (c for c in self._connections
-             if c.role == "worker" and c.proto >= 3 and c is not exclude),
-            key=lambda c: c.seq,
-        )
-        self.prefetch_pushes += len(targets)
-        return [
-            (c, {"type": MSG_PREFETCH, "fingerprint": fingerprint,
-                 "instructions": instructions}, payload)
-            for c in targets
-        ]
 
     def _dispatch(self) -> None:
         """Pair queued jobs with hungry connections and send them.
@@ -996,10 +819,10 @@ class Coordinator:
                 return None
             session = min(ready, key=lambda s: (s.stride, s.id))
             job = self._jobs.get(session.queue.popleft())
-            if job is None or job.resolved:
-                # Forgotten/cancelled (abandoned batch) or already
-                # resolved (a rescheduled twin finished): skip without
-                # charging the session for it.
+            if job is None:
+                # Cancelled (abandoned batch) or already resolved (a
+                # rescheduled twin finished): skip without charging the
+                # session for it.
                 continue
             session.stride += 1.0 / session.priority
             return job
@@ -1020,54 +843,36 @@ class Coordinator:
                 self._reap(conn)
         return failed
 
-    def _resolve(self, conn: _Connection, job_id: int,
-                 result: tuple[str, object]) -> None:
-        notify_dispatch = False
-        client_send = None
+    def _resolve(self, conn: _Connection, job_id: int, status: str,
+                 value) -> None:
+        """A worker finished a job: push the outcome to its session."""
         with self._cv:
             conn.leases.pop(job_id, None)
             conn.jobs_done += 1
-            job = self._jobs.get(job_id)
-            if job is None or job.resolved:
-                # Forgotten, cancelled, owned by a dead session, or a
-                # duplicate resolution (an expired-lease rerun and the
-                # original both finished).  Results are pure functions
-                # of pickled inputs, so keep the first and drop the
-                # rest on the floor — storing a late result for a
-                # caller that can never consume it would leak forever.
+            # No row: the job was cancelled, its session closed, or this
+            # is a duplicate resolution (an expired-lease rerun and the
+            # original both finished).  Results are pure functions of
+            # pickled inputs, so the first wins and the rest are dropped.
+            job = self._jobs.pop(job_id, None)
+            if job is None:
                 return
-            session = self._sessions.get(job.session)
-            if session is None:
-                del self._jobs[job_id]
-                return
+            session = self._sessions[job.session]
             session.completed += 1
             self.jobs_completed += 1
-            if session.conn is None:
-                job.resolved = True
-                self._results[job.tag] = result
-            else:
-                # Client sessions get their result pushed the moment it
-                # lands; the coordinator retains nothing for them.
-                del self._jobs[job_id]
-                status, value = result
-                if status == "ok":
-                    client_send = (session.conn, {
-                        "type": MSG_BATCH_RESULT, "job": job.tag,
-                        "status": "ok",
-                    }, value)
-                else:
-                    client_send = (session.conn, {
-                        "type": MSG_BATCH_RESULT, "job": job.tag,
-                        "status": "error", "error": str(value),
-                    }, None)
-            self._cv.notify_all()
-            notify_dispatch = any(
-                s.queue for s in self._sessions.values()
-            )
-        if client_send is not None:
-            self._send_all([client_send])
-        if notify_dispatch:
+            send = self._batch_result(session, job, status, value)
+            pending = any(s.queue for s in self._sessions.values())
+        self._send_all([send])
+        if pending:
             self._dispatch()
+
+    @staticmethod
+    def _batch_result(session: _Session, job: _Job, status: str, value):
+        """The ``batch_result`` frame carrying one outcome to its owner."""
+        if status == "ok":
+            return (session.conn, {"type": MSG_BATCH_RESULT,
+                                   "job": job.tag, "status": "ok"}, value)
+        return (session.conn, {"type": MSG_BATCH_RESULT, "job": job.tag,
+                               "status": "error", "error": str(value)}, None)
 
     # -- liveness -------------------------------------------------------
 
@@ -1123,40 +928,26 @@ class Coordinator:
         return requeued, sends
 
     def _drop_lease_locked(self, job_id: int, message: str):
-        """Handle one lost lease: requeue, fail, or drop (caller holds _cv).
+        """Handle one lost lease: requeue or fail (caller holds _cv).
 
         Returns ``(requeued, send)`` — ``send`` is a ``batch_result``
-        error frame when a *client* job just ran out of attempts
-        (``None`` otherwise; local jobs fail into ``_results``).
+        error frame when the job just ran out of attempts (``None``
+        otherwise).
         """
         job = self._jobs.get(job_id)
-        if job is None or job.resolved:
-            return False, None
-        session = self._sessions.get(job.session)
-        if session is None:
-            # Dead session: its jobs were dropped at GC; this lease is
-            # the straggler.  Drop the row, never requeue.
-            self._jobs.pop(job_id, None)
-            return False, None
+        if job is None:
+            return False, None  # resolved, cancelled, or session closed
+        session = self._sessions[job.session]
         if job.attempts >= self.max_attempts:
+            del self._jobs[job_id]
             session.completed += 1
             self.jobs_completed += 1
-            self._cv.notify_all()
-            if session.conn is None:
-                job.resolved = True
-                self._results[job.tag] = ("error", message)
-                return False, None
-            del self._jobs[job_id]
-            return False, (session.conn, {
-                "type": MSG_BATCH_RESULT, "job": job.tag,
-                "status": "error", "error": message,
-            }, None)
+            return False, self._batch_result(session, job, "error", message)
         # Front of the owning session's queue: the lost job is its
         # oldest outstanding work, so it must not wait behind the whole
         # backlog again.
         session.queue.appendleft(job_id)
         self.reschedules += 1
-        self._cv.notify_all()
         return True, None
 
     def _stale_connections_locked(self) -> list[_Connection]:
@@ -1174,7 +965,7 @@ class Coordinator:
         now = time.monotonic()
         stale = []
         for conn in sorted(self._connections, key=lambda c: c.seq):
-            if conn.proto < 2 or conn.evicting or conn.role == "observer":
+            if conn.evicting or conn.role == "observer":
                 continue
             tolerance = max(self.heartbeat_timeout_s,
                             3.0 * conn.heartbeat_s)
@@ -1192,7 +983,8 @@ class Coordinator:
         worker already holds run out their lease, and their late
         results are dropped because the job rows are gone.  Nothing is
         retained: a client that died mid-batch must not leak its
-        backlog or its results.
+        backlog or its results.  Every job row therefore belongs to a
+        live session.
         """
         if self._sessions.pop(session.id, None) is None:
             return
@@ -1202,7 +994,6 @@ class Coordinator:
             del self._jobs[job_id]
         session.queue.clear()
         self.sessions_closed += 1
-        self._cv.notify_all()
 
     def _reap(self, conn: _Connection) -> None:
         """Connection died: reschedule its leases, drop its state.
@@ -1234,7 +1025,6 @@ class Coordinator:
                 session = self._sessions.get(conn.session_id)
                 if session is not None:
                     self._close_session_locked(session)
-            self._cv.notify_all()
         if sends:
             self._send_all(sends)
         self._dispatch()

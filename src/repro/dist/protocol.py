@@ -22,26 +22,26 @@ worker → coordinator:
                 connection.  ``role: "observer"`` marks a monitoring
                 client (``repro.cli status``): it is excluded from the
                 worker count, job dispatch and heartbeat eviction.
-    ``request`` ask for a job.
+    ``request`` ask for a job; blocks until the coordinator has one.
     ``result``  finished job (``job`` id) + pickled metrics payload.
     ``error``   job raised (``job`` id, ``error`` traceback text).
-    ``ping``    heartbeat (protocol >= 2); proves liveness mid-job.
-    ``status``  metrics snapshot (protocol >= 2), piggybacked on the
-                heartbeat cadence: ``jobs_executed`` plus ``metrics``,
-                a JSON :meth:`repro.obs.MetricsSnapshot.to_dict` —
+    ``ping``    heartbeat; proves liveness mid-job.
+    ``status``  metrics snapshot, piggybacked on the heartbeat cadence:
+                ``jobs_executed`` plus ``metrics``, a JSON
+                :meth:`repro.obs.MetricsSnapshot.to_dict` —
                 counters/gauges/timers this worker has recorded.  The
                 coordinator keeps only the latest per connection.
 
 client ↔ coordinator (observers):
     ``status_request`` ask for the cluster status.
     ``status_reply``   answer: ``report`` with per-worker rows (name,
-                       proto, leases held, jobs done, seconds since the
-                       last frame, latest ``status`` metrics), queue
-                       depths, per-session rows, the coordinator's
-                       lifetime counters, and the merged cluster-wide
-                       metrics snapshot.
+                       leases held, jobs done, seconds since the last
+                       frame, latest ``status`` metrics), queue depths,
+                       per-session rows, the coordinator's lifetime
+                       counters, and the merged cluster-wide metrics
+                       snapshot.
 
-client → coordinator (protocol 3 sessions):
+client → coordinator (sessions):
     ``submit``       enqueue one job in this client's session (``job``
                      is the client-chosen tag) + pickled ``(fn, item)``.
     ``cancel``       drop queued jobs (``jobs`` lists tags, or null for
@@ -52,23 +52,24 @@ client → coordinator (protocol 3 sessions):
                      artifact) for the coordinator to fan out to every
                      worker — current and future — before it is needed.
 
-coordinator → client (protocol 3 sessions):
+coordinator → client (sessions):
     ``batch_result`` one resolved job: ``job`` tag, ``status``
                      (``"ok"`` + pickled payload, or ``"error"`` +
                      ``error`` text).  Pushed the moment the job
                      resolves; the coordinator retains nothing.
 
-auth (protocol 3, only when the coordinator holds a shared secret):
-    ``auth_challenge`` first frame after accept: a ``nonce`` the peer
-                       must fold into its ``hello``'s ``auth`` field
-                       (HMAC-SHA256 of the nonce under the secret).
-    ``auth_reject``    the ``hello`` was missing, late, or carried a
-                       bad digest; the coordinator closes after this.
+admission (any peer):
+    ``auth_challenge`` first frame after accept, only when the
+                       coordinator holds a shared secret: a ``nonce``
+                       the peer must fold into its ``hello``'s ``auth``
+                       field (HMAC-SHA256 of the nonce under the secret).
+    ``reject``         the first frame was not a ``hello`` announcing
+                       :data:`PROTOCOL_VERSION`, or it carried a bad
+                       digest; ``error`` says which.  The coordinator
+                       closes after this.
 
 coordinator → worker:
     ``job``      a leased job (``job`` id) + pickled ``(fn, item)``.
-    ``idle``     queue empty right now; sleep briefly and re-request
-                 (protocol 1 only — v2 workers block until a ``job``).
     ``pong``     heartbeat reply; proves the coordinator is alive.
     ``shutdown`` drain and disconnect.
     ``prefetch`` a pushed trace artifact (same shape as the client
@@ -77,14 +78,12 @@ coordinator → worker:
 Versioning
 ----------
 
-``hello`` carries ``proto`` (:data:`PROTOCOL_VERSION`).  Version 1 peers
-(no ``proto`` field) poll with ``request``/``idle`` and are presumed
-alive while their TCP connection stays open; version 2 peers heartbeat
-with ``ping`` and park blocked ``request``\\ s at the coordinator until
-work arrives.  Version 3 added the session frames (``role: "client"``
-hellos, ``submit``/``batch_result``/``cancel``/``prefetch``) and the
-shared-secret challenge — all additive, so v1/v2 workers still join a
-v3 cluster (they merely never see a prefetch).
+``hello`` carries ``proto``, which must equal :data:`PROTOCOL_VERSION`:
+the coordinator answers any other version — or a missing one — with
+``reject`` and hangs up.  Every peer ships from this tree, so there is
+no compatibility mode to negotiate down to.  Within a version the
+protocol stays *additive*: a receiver ignores frame types it does not
+know.
 """
 
 from __future__ import annotations
@@ -99,13 +98,8 @@ import socket
 import struct
 from typing import Any
 
-#: Wire protocol generation announced in ``hello`` frames.  Version 2
-#: added ``ping``/``pong`` heartbeats, blocking job requests, and the
-#: additive observability frames (``status``, ``status_request``/
-#: ``status_reply``, observer ``role``); version 3 added client
-#: sessions (``submit``/``batch_result``/``cancel``/``prefetch``) and
-#: the shared-secret challenge handshake — peers that never send the
-#: new frames interoperate unchanged.
+#: Wire protocol generation every ``hello`` must announce; the
+#: coordinator rejects any other.
 PROTOCOL_VERSION = 3
 
 # -- frame types ---------------------------------------------------------
@@ -120,36 +114,35 @@ MSG_HELLO = "hello"
 MSG_REQUEST = "request"
 MSG_RESULT = "result"
 MSG_ERROR = "error"
-MSG_PING = "ping"                  # v2
-MSG_STATUS = "status"              # v2
-# observer <-> coordinator (v2)
+MSG_PING = "ping"
+MSG_STATUS = "status"
+# observer <-> coordinator
 MSG_STATUS_REQUEST = "status_request"
 MSG_STATUS_REPLY = "status_reply"
-# client -> coordinator (v3 sessions)
+# client -> coordinator (sessions)
 MSG_SUBMIT = "submit"
 MSG_CANCEL = "cancel"
 MSG_PREFETCH = "prefetch"          # also coordinator -> worker
-# coordinator -> client (v3 sessions)
+# coordinator -> client (sessions)
 MSG_BATCH_RESULT = "batch_result"
-# auth handshake (v3, secret-holding coordinators only)
+# admission: challenge (secret-holding coordinators only) and refusal
 MSG_AUTH_CHALLENGE = "auth_challenge"
-MSG_AUTH_REJECT = "auth_reject"
+MSG_REJECT = "reject"
 # coordinator -> worker
 MSG_JOB = "job"
-MSG_IDLE = "idle"                  # v1 polling only
-MSG_PONG = "pong"                  # v2
+MSG_PONG = "pong"
 MSG_SHUTDOWN = "shutdown"
 
-#: Registry of every frame type any protocol generation may carry.
-#: The protocol is *additive*: an unknown type from a newer peer is
-#: ignored, never an error — but everything this codebase sends or
-#: dispatches on must be enumerated here.
+#: Registry of every frame type the protocol carries.  The protocol is
+#: *additive*: an unknown type is ignored, never an error — but
+#: everything this codebase sends or dispatches on must be enumerated
+#: here.
 FRAME_TYPES = frozenset({
     MSG_HELLO, MSG_REQUEST, MSG_RESULT, MSG_ERROR, MSG_PING, MSG_STATUS,
     MSG_STATUS_REQUEST, MSG_STATUS_REPLY,
     MSG_SUBMIT, MSG_CANCEL, MSG_PREFETCH, MSG_BATCH_RESULT,
-    MSG_AUTH_CHALLENGE, MSG_AUTH_REJECT,
-    MSG_JOB, MSG_IDLE, MSG_PONG, MSG_SHUTDOWN,
+    MSG_AUTH_CHALLENGE, MSG_REJECT,
+    MSG_JOB, MSG_PONG, MSG_SHUTDOWN,
 })
 
 #: (header length, payload length) frame prefix.
@@ -278,7 +271,7 @@ def connect(addr: str, timeout: float | None = None,
             time.sleep(0.05)
 
 
-# -- shared-secret auth (protocol 3) --------------------------------------
+# -- shared-secret auth ---------------------------------------------------
 #
 # A coordinator serving an untrusted interface holds a shared secret.
 # On accept it sends ``auth_challenge`` with a fresh nonce; the peer's

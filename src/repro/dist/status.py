@@ -16,8 +16,8 @@ import socket
 import time
 
 from repro.dist.protocol import (
-    MSG_AUTH_REJECT,
     MSG_HELLO,
+    MSG_REJECT,
     MSG_STATUS_REPLY,
     MSG_STATUS_REQUEST,
     PROTOCOL_VERSION,
@@ -46,9 +46,10 @@ def fetch_cluster_status(
     failure (with a short pause between attempts) — scripts polling a
     cluster that is still coming up get a grace window instead of a
     stack trace.  ``secret`` (default ``$REPRO_DIST_SECRET``) answers a
-    secured coordinator's auth challenge; a rejected secret raises
-    ``PermissionError`` immediately, never retried — a wrong secret
-    will not become right by asking again.
+    secured coordinator's auth challenge.  A ``reject`` (wrong secret,
+    protocol mismatch) raises ``PermissionError`` with the
+    coordinator's reason immediately, never retried — a refusal will
+    not turn into an answer by asking again.
 
     Raises ``TimeoutError`` when no reply lands within ``timeout``
     seconds on the last attempt, and the usual
@@ -92,10 +93,10 @@ def _fetch_once(addr: str, timeout: float, secret: str | None) -> dict:
             except ReceiveTimeout:
                 continue
             kind = header.get("type")
-            if kind == MSG_AUTH_REJECT:
+            if kind == MSG_REJECT:
                 raise PermissionError(
-                    f"coordinator at {addr} rejected the shared secret "
-                    f"(set REPRO_DIST_SECRET or pass --secret)"
+                    f"coordinator at {addr} rejected this observer: "
+                    f"{header.get('error', 'no reason given')}"
                 )
             if kind == MSG_STATUS_REPLY:
                 report = header.get("report")

@@ -9,14 +9,14 @@ travel back as ``error`` frames with the full traceback, so a bad knob
 configuration surfaces in the tuning process instead of silently
 stalling the queue.
 
-Liveness (protocol 2): a daemon thread sends a ``ping`` every
-``heartbeat_s`` seconds — on the same socket, so a worker that is busy
-inside a long job still proves it is alive, and the coordinator's lease
-monitor only reschedules jobs whose worker has actually gone silent or
-livelocked.  The job request itself *blocks*: instead of the v1
-50 Hz ``request``/``idle`` poll, a v2 worker sends one ``request`` and
+Liveness: a daemon thread sends a ``ping`` every ``heartbeat_s``
+seconds — on the same socket, so a worker that is busy inside a long
+job still proves it is alive, and the coordinator's lease monitor only
+reschedules jobs whose worker has actually gone silent or livelocked.
+The job request itself *blocks*: the worker sends one ``request`` and
 waits until the coordinator answers with a ``job`` the moment one is
-enqueued.  ``heartbeat_s=0`` selects the legacy v1 polling behavior.
+enqueued.  Heartbeats are mandatory (``heartbeat_s`` must be > 0): a
+coordinator that hears nothing from a worker evicts it.
 
 Workers are launched either by ``python -m repro.cli worker --addr
 host:port`` (any machine that can reach the coordinator) or spawned
@@ -39,14 +39,13 @@ import traceback
 
 from repro import obs
 from repro.dist.protocol import (
-    MSG_AUTH_REJECT,
     MSG_ERROR,
     MSG_HELLO,
-    MSG_IDLE,
     MSG_JOB,
     MSG_PING,
     MSG_PONG,
     MSG_PREFETCH,
+    MSG_REJECT,
     MSG_REQUEST,
     MSG_RESULT,
     MSG_SHUTDOWN,
@@ -61,19 +60,24 @@ from repro.dist.protocol import (
     send_msg,
 )
 
-#: Seconds a v1 worker sleeps after an ``idle`` reply before
-#: re-requesting (legacy polling mode, ``heartbeat_s=0``).
-IDLE_POLL_S = 0.02
-
 #: Default heartbeat interval.  The coordinator evicts after
 #: :data:`repro.dist.coordinator.DEFAULT_HEARTBEAT_TIMEOUT_S` of
 #: silence, so this leaves an order of magnitude of slack.
 WORKER_HEARTBEAT_S = 2.0
 
-#: A v2 worker that has heard *nothing* (no pong, no job) for this many
+#: A worker that has heard *nothing* (no pong, no job) for this many
 #: heartbeat intervals concludes the coordinator is gone — its own pings
 #: elicit pongs, so a healthy link is never silent this long.
 _COORDINATOR_SILENCE_FACTOR = 10.0
+
+
+def _check_heartbeat(heartbeat_s: float) -> None:
+    """Reject a heartbeat interval workers cannot run with."""
+    if not heartbeat_s or heartbeat_s <= 0:
+        raise ValueError(
+            f"heartbeat_s must be > 0, got {heartbeat_s!r}: a worker "
+            f"that never pings is evicted as hung"
+        )
 
 
 def _heartbeat_loop(sock: socket.socket, send_lock: threading.Lock,
@@ -124,8 +128,7 @@ def run_worker(
             workers routinely start before the coordinator binds.
         max_jobs: exit after this many jobs (test hook; ``None`` serves
             until shutdown).
-        heartbeat_s: ``ping`` interval; ``0`` disables heartbeats and
-            falls back to the v1 ``request``/``idle`` polling protocol.
+        heartbeat_s: ``ping`` interval in seconds (must be > 0).
         stop: optional event for a graceful drain — the worker finishes
             the job in hand, then disconnects instead of taking more.
         secret: shared secret for a coordinator serving an untrusted
@@ -135,7 +138,13 @@ def run_worker(
 
     Returns:
         The number of jobs executed (including ones that raised).
+
+    Raises:
+        ValueError: ``heartbeat_s`` is not positive.
+        RuntimeError: the coordinator rejected this worker (bad secret,
+            protocol mismatch); the message carries its reason.
     """
+    _check_heartbeat(heartbeat_s)
     if cache_dir:
         from repro.sim.artifact import attach_artifact_store
 
@@ -144,8 +153,6 @@ def run_worker(
             max_entries=cache_max_entries,
         )
     worker_name = name or f"{socket.gethostname()}-{os.getpid()}"
-    heartbeating = heartbeat_s and heartbeat_s > 0
-    proto = PROTOCOL_VERSION if heartbeating else 1
     secret = secret or os.environ.get("REPRO_DIST_SECRET") or None
     sock = connect(addr, retry_for=connect_retry_s)
     send_lock = threading.Lock()
@@ -154,41 +161,37 @@ def run_worker(
     # Shared with the heartbeat thread, which reports it in ``status``
     # frames (a list, not an int, so both threads see updates).
     executed_box = [0]
+
+    def _status() -> dict:
+        return {
+            "jobs_executed": executed_box[0],
+            "metrics": obs.snapshot().to_dict(),
+        }
+
     try:
         with send_lock:
             client_handshake(sock, {
-                "type": MSG_HELLO, "worker": worker_name, "proto": proto,
-                "heartbeat": heartbeat_s if heartbeating else 0,
+                "type": MSG_HELLO, "worker": worker_name,
+                "proto": PROTOCOL_VERSION, "heartbeat": heartbeat_s,
             }, secret=secret)
-        if heartbeating:
-            def _status() -> dict:
-                return {
-                    "jobs_executed": executed_box[0],
-                    "metrics": obs.snapshot().to_dict(),
-                }
-
-            heartbeat = threading.Thread(
-                target=_heartbeat_loop,
-                args=(sock, send_lock, float(heartbeat_s), stop, _status),
-                name="dist-heartbeat", daemon=True,
-            )
-            heartbeat.start()
-        silence_limit = (heartbeat_s * _COORDINATOR_SILENCE_FACTOR
-                         if heartbeating else None)
+        heartbeat = threading.Thread(
+            target=_heartbeat_loop,
+            args=(sock, send_lock, float(heartbeat_s), stop, _status),
+            name="dist-heartbeat", daemon=True,
+        )
+        heartbeat.start()
+        silence_limit = heartbeat_s * _COORDINATOR_SILENCE_FACTOR
         while (max_jobs is None or executed_box[0] < max_jobs) \
                 and not stop.is_set():
             with send_lock:
                 send_msg(sock, {"type": MSG_REQUEST})
-            frame = _await_reply(sock, heartbeating, silence_limit, stop)
+            frame = _await_reply(sock, addr, silence_limit, stop)
             if frame is None:  # stop requested / coordinator silent
                 break
             header, payload = frame
             kind = header.get("type")
             if kind == MSG_SHUTDOWN:
                 break
-            if kind == MSG_IDLE:  # v1 polling mode only
-                time.sleep(IDLE_POLL_S)
-                continue
             if kind != MSG_JOB:
                 raise ConnectionError(f"unexpected frame {header!r}")
             job_id = int(header["job"])
@@ -235,25 +238,24 @@ def run_worker(
     return executed_box[0]
 
 
-def _await_reply(sock, heartbeating: bool, silence_limit: float | None,
+def _await_reply(sock, addr: str, silence_limit: float,
                  stop: threading.Event):
     """Wait for the coordinator's answer to a ``request``.
 
     Returns the ``(header, payload)`` frame, skipping ``pong``\\ s and
     storing ``prefetch`` pushes as they stream past, or ``None`` when a
     graceful stop was requested or the coordinator has been silent past
-    ``silence_limit`` (dead link with no EOF).
+    ``silence_limit`` (dead link with no EOF).  A ``reject`` raises
+    ``RuntimeError`` with the coordinator's reason.
     """
     last_frame = time.monotonic()
-    timeout = 0.25 if heartbeating else None
     while True:
         try:
-            header, payload = recv_msg(sock, timeout=timeout)
+            header, payload = recv_msg(sock, timeout=0.25)
         except ReceiveTimeout:
             if stop.is_set():
                 return None
-            silent_for = time.monotonic() - last_frame
-            if silence_limit is not None and silent_for >= silence_limit:
+            if time.monotonic() - last_frame >= silence_limit:
                 return None
             continue
         last_frame = time.monotonic()
@@ -266,12 +268,10 @@ def _await_reply(sock, heartbeating: bool, silence_limit: float | None,
             # before the next job needs the trace.
             _store_prefetched(payload)
             continue
-        if kind == MSG_AUTH_REJECT:
-            raise ConnectionError(
-                "coordinator rejected this worker: "
-                f"{header.get('error', 'authentication failed')} "
-                "(is REPRO_DIST_SECRET / --secret set to the serve "
-                "secret?)"
+        if kind == MSG_REJECT:
+            raise RuntimeError(
+                f"coordinator at {addr} rejected this worker: "
+                f"{header.get('error', 'no reason given')}"
             )
         return header, payload
 
@@ -317,7 +317,7 @@ class WorkerPool:
         cache_dir / cache_max_entries: forwarded to every worker.
         respawn_budget: max respawns over the pool lifetime (``None``
             for ``2 * count + 2``; ``0`` disables respawning).
-        heartbeat_s: worker heartbeat interval (0 = legacy v1 workers).
+        heartbeat_s: worker heartbeat interval (must be > 0).
         secret: shared secret forwarded to every worker (a pool serving
             a secured ``repro.cli serve`` coordinator).
     """
@@ -343,6 +343,7 @@ class WorkerPool:
                  secret: str | None = None):
         if count < 1:
             raise ValueError("WorkerPool needs count >= 1")
+        _check_heartbeat(heartbeat_s)
         self.addr = addr
         self.count = count
         self.cache_dir = cache_dir

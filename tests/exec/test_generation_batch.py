@@ -9,6 +9,7 @@ prove the batch actually served the work.
 
 import pytest
 
+from repro import obs
 from repro.codegen.wrapper import GenerationOptions
 from repro.core.config import MicroGradConfig
 from repro.core.framework import MicroGrad
@@ -19,7 +20,6 @@ from repro.core.platform import (
 from repro.exec.backend import ProcessPoolBackend, SerialBackend
 from repro.exec.jobs import evaluate_configs, evaluate_configs_stream
 from repro.sim.config import core_by_name
-from repro.sim.events import engine_path_counts, reset_engine_path_counts
 
 MIX_KNOBS = ("ADD", "MUL", "FADDD", "FMULD", "BEQ", "BNE",
              "LD", "LW", "SD", "SW")
@@ -50,11 +50,11 @@ def _per_config(monkeypatch):
 class TestEvaluateConfigsGrouped:
     def test_grouped_matches_per_config_bitwise(self, monkeypatch):
         options = GenerationOptions(loop_size=120)
-        reset_engine_path_counts()
+        obs.reset("engine_path.")
         grouped = evaluate_configs(
             SerialBackend(), _platform(), options, CONFIGS
         )
-        paths = engine_path_counts()
+        paths = obs.counters("engine_path.")
         with monkeypatch.context() as m:
             _per_config(m)
             legacy = evaluate_configs(
@@ -63,8 +63,8 @@ class TestEvaluateConfigsGrouped:
         assert grouped == legacy
         # 6 configs collapse to 3 equivalence groups: {0, its clone 2,
         # its proportionally scaled twin 3}, {1, its clone 5}, {4}.
-        assert paths.get("evaluate.group") == 3
-        assert not paths.get("evaluate.single")
+        assert paths.get("engine_path.evaluate.group") == 3
+        assert not paths.get("engine_path.evaluate.single")
 
     def test_stream_matches_batch(self):
         options = GenerationOptions(loop_size=120)
@@ -106,9 +106,9 @@ class TestFullRunBitIdentity:
 
     @pytest.mark.parametrize("tuner", ["ga", "gd", "random"])
     def test_batched_run_equals_per_config_run(self, tuner, monkeypatch):
-        reset_engine_path_counts()
+        obs.reset("engine_path.")
         batched = MicroGrad(self._config(tuner)).run()
-        paths = engine_path_counts()
+        paths = obs.counters("engine_path.")
         with monkeypatch.context() as m:
             _per_config(m)
             legacy = MicroGrad(self._config(tuner)).run()
@@ -123,6 +123,6 @@ class TestFullRunBitIdentity:
             legacy.tuning.unique_evaluations
         # The batched arm must have served every computed config through
         # the grouped path — the per-config job never ran.
-        assert paths.get("evaluate.batch")
-        assert paths.get("evaluate.group")
-        assert not paths.get("evaluate.single")
+        assert paths.get("engine_path.evaluate.batch")
+        assert paths.get("engine_path.evaluate.group")
+        assert not paths.get("engine_path.evaluate.single")

@@ -105,12 +105,16 @@ class TestIncrementality:
             stream = backend.map_stream(_gated, [(gate, n) for n in range(4)])
             assert next(stream) == 0
             stream.close()  # abandon mid-stream
+            # The session forgets the batch at once...
+            session = backend.client
+            with session._cv:
+                assert not session._outcomes and not session._pending
+            # ...and the coordinator drops it once the cancel lands.
             coordinator = backend.coordinator
             deadline = time.monotonic() + 10
-            while coordinator._results and time.monotonic() < deadline:
+            while coordinator._jobs and time.monotonic() < deadline:
                 time.sleep(0.01)
-            assert not coordinator._results  # nothing leaks
-            assert not coordinator._jobs
+            assert not coordinator._jobs  # nothing leaks
 
 
 class TestStreamingEvaluation:

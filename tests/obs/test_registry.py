@@ -6,11 +6,6 @@ import pytest
 
 from repro import obs
 from repro.obs import MetricsRegistry
-from repro.sim.events import (
-    engine_path_counts,
-    record_engine_path,
-    reset_engine_path_counts,
-)
 
 
 @pytest.fixture
@@ -112,35 +107,24 @@ class TestThreadSafety:
         assert registry.counters()["shared"] == threads * per_thread
 
 
-class TestEnginePathCompatShim:
+class TestEnginePathCounters:
     def test_engine_path_counts_hammered_from_8_threads(self):
         """The old process-global Counter raced under ThreadBackend."""
-        reset_engine_path_counts()
+        obs.reset("engine_path.")
         try:
             threads, per_thread = 8, 5_000
 
             def hammer():
                 for _ in range(per_thread):
-                    record_engine_path("memory.vectorized")
+                    obs.inc("engine_path.memory.vectorized")
 
             pool = [threading.Thread(target=hammer) for _ in range(threads)]
             for t in pool:
                 t.start()
             for t in pool:
                 t.join()
-            assert engine_path_counts() == {
-                "memory.vectorized": threads * per_thread,
-            }
-        finally:
-            reset_engine_path_counts()
-
-    def test_counts_round_trip_through_registry(self):
-        reset_engine_path_counts()
-        try:
-            record_engine_path("evaluate.group", 3)
-            assert engine_path_counts() == {"evaluate.group": 3}
             assert obs.counters("engine_path.") == {
-                "engine_path.evaluate.group": 3,
+                "engine_path.memory.vectorized": threads * per_thread,
             }
         finally:
-            reset_engine_path_counts()
+            obs.reset("engine_path.")

@@ -86,9 +86,9 @@ class TestRenderers:
             "unresolved": 1,
             "counters": {"jobs_completed": 7, "workers_seen": 2},
             "workers": [
-                {"name": "w1", "proto": 2, "leases": 1, "jobs_done": 4,
+                {"name": "w1", "leases": 1, "jobs_done": 4,
                  "heartbeat_age_s": 0.3},
-                {"name": "w2", "proto": 2, "leases": 0, "jobs_done": 3,
+                {"name": "w2", "leases": 0, "jobs_done": 3,
                  "heartbeat_age_s": None},
             ],
             "cluster_metrics": {

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import repro.sim.events as events_mod
+from repro import obs
 from repro.codegen.wrapper import GenerationOptions, generate_test_case
 from repro.sim import LARGE_CORE, SMALL_CORE, Simulator
 from repro.sim.artifact import TraceArtifact, TraceArtifactCache
@@ -32,8 +33,6 @@ from repro.sim.events import (
     ENGINES,
     MemoryEvents,
     branch_event_key,
-    engine_path_counts,
-    reset_engine_path_counts,
     resolve_engine,
     simulate_branches,
     simulate_branches_batch,
@@ -352,7 +351,7 @@ class TestBranchEventKey:
 
 class TestEnginePathObservability:
     def setup_method(self):
-        reset_engine_path_counts()
+        obs.reset("engine_path.")
 
     def test_periodic_aperiodic_and_reference_paths(self):
         periodic = mem_trace([(16 * t) % 512 for t in range(32)] * 40)
@@ -361,17 +360,18 @@ class TestEnginePathObservability:
         simulate_memory(SMALL_CORE, periodic, 10, engine="vectorized")
         simulate_memory(SMALL_CORE, aperiodic, 10, engine="vectorized")
         simulate_memory(SMALL_CORE, aperiodic, 10, engine="reference")
-        counts = engine_path_counts()
-        assert counts["memory.vectorized.periodic"] == 1
-        assert counts["memory.vectorized.aperiodic"] == 1
-        assert counts["memory.reference"] == 1
-        assert "memory.vectorized.straight" not in counts
+        counts = obs.counters("engine_path.")
+        assert counts["engine_path.memory.vectorized.periodic"] == 1
+        assert counts["engine_path.memory.vectorized.aperiodic"] == 1
+        assert counts["engine_path.memory.reference"] == 1
+        assert "engine_path.memory.vectorized.straight" not in counts
 
     def test_tiny_aperiodic_trace_takes_straight_path(self):
         rng = np.random.default_rng(4)
         tiny = mem_trace(rng.integers(0, 4096, 40).tolist())
         simulate_memory(SMALL_CORE, tiny, 0, engine="vectorized")
-        assert engine_path_counts()["memory.vectorized.straight"] == 1
+        counts = obs.counters("engine_path.")
+        assert counts["engine_path.memory.vectorized.straight"] == 1
 
     def test_branch_paths(self):
         rng = np.random.default_rng(6)
@@ -381,17 +381,17 @@ class TestEnginePathObservability:
         )
         simulate_branches(SMALL_CORE, trace, 0, engine="vectorized")
         simulate_branches(SMALL_CORE, trace, 0, engine="reference")
-        counts = engine_path_counts()
-        assert counts["branch.vectorized.scan"] == 1
-        assert counts["branch.reference"] == 1
+        counts = obs.counters("engine_path.")
+        assert counts["engine_path.branch.vectorized.scan"] == 1
+        assert counts["engine_path.branch.reference"] == 1
 
     def test_reset_clears(self):
         simulate_branches(
             SMALL_CORE, branch_trace([4], [True]), 0, engine="reference"
         )
-        assert engine_path_counts()
-        reset_engine_path_counts()
-        assert engine_path_counts() == {}
+        assert obs.counters("engine_path.")
+        obs.reset("engine_path.")
+        assert obs.counters("engine_path.") == {}
 
 
 class TestTournamentAndBimodalAgreement:
@@ -451,7 +451,7 @@ class TestAperiodicVectorizedAgreement:
         artifact = TraceArtifact.build(program, 20_000)
         warmup, measure = artifact.schedule(SMALL_CORE, 0.2)
         trace = artifact.trace(warmup + measure, SMALL_CORE.l1d.line_bytes)
-        reset_engine_path_counts()
+        obs.reset("engine_path.")
         ref = simulate_memory(
             SMALL_CORE, trace, warmup * artifact.mem_per_iter,
             engine="reference",
@@ -461,9 +461,9 @@ class TestAperiodicVectorizedAgreement:
             engine="vectorized",
         )
         assert ref == vec
-        counts = engine_path_counts()
-        assert counts.get("memory.vectorized.aperiodic") == 1
-        assert "memory.vectorized.straight" not in counts
+        counts = obs.counters("engine_path.")
+        assert counts.get("engine_path.memory.vectorized.aperiodic") == 1
+        assert "engine_path.memory.vectorized.straight" not in counts
 
 
 class TestBatchEntryPoints:

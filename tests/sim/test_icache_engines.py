@@ -14,17 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.sim.events as events_mod
+from repro import obs
 from repro.codegen.wrapper import GenerationOptions, generate_test_case
 from repro.sim import LARGE_CORE, SMALL_CORE
 from repro.sim.artifact import TraceArtifact
 from repro.sim.cache import cyclic_code_hits, cyclic_code_hits_closed
 from repro.sim.config import CacheGeometry
-from repro.sim.events import (
-    engine_path_counts,
-    reset_engine_path_counts,
-    simulate_icache,
-    simulate_icache_batch,
-)
+from repro.sim.events import simulate_icache, simulate_icache_batch
 
 KNOBS = dict(ADD=5, MUL=1, FADDD=1, BEQ=1, LD=2, SD=1,
              REG_DIST=4, MEM_SIZE=16, B_PATTERN=0.3)
@@ -159,11 +155,11 @@ class TestBatchEntryPoint:
         assert batched._icache == single._icache
 
     def test_paths_recorded(self):
-        reset_engine_path_counts()
+        obs.reset("engine_path.")
         simulate_icache(SMALL_CORE, 4096, 100, engine="reference")
         simulate_icache(SMALL_CORE, 4096, 100, engine="vectorized")
         simulate_icache_batch([SMALL_CORE], 4096, [100])
-        paths = engine_path_counts()
-        assert paths["icache.reference"] == 1
-        assert paths["icache.vectorized"] == 1
-        assert paths["icache.batch"] == 1
+        paths = obs.counters("engine_path.")
+        assert paths["engine_path.icache.reference"] == 1
+        assert paths["engine_path.icache.vectorized"] == 1
+        assert paths["engine_path.icache.batch"] == 1
