@@ -5,10 +5,12 @@ the numpy event engine.  One streaming program is evaluated under a
 16-config sweep (4 distinct L1D/L2 hierarchies x 2 branch predictors x 2
 name twins, the ``run_many`` shape used by ``CoreSensitivityAnalysis``)
 three ways: the ``reference`` per-access Python loops, the vectorized
-engine evaluating each config separately (``config_batch=False``), and
-the config-batched engine evaluating every distinct event key over one
-shared block of precomputed trace columns (``config_batch=True``).  The
-batched sweep must be bit-identical to both and clear the gates below.
+engine one config at a time (one ``run_many([core])`` per core on a
+shared artifact cache: batches of one, which share the trace and the
+event memos but no kernel columns), and the vectorized engine over the
+whole sweep, evaluating every distinct event key over one shared block
+of precomputed trace columns.  The batched sweep must be bit-identical
+to both and clear the gates below.
 
 The workload deliberately hits the two cases that used to fall back to
 reference speed and are now first-class vectorized paths:
@@ -20,7 +22,8 @@ reference speed and are now first-class vectorized paths:
   ``memory.vectorized.straight`` or ``memory.reference`` fallbacks.
 * **Tournament predictors** — chooser + bimodal + gshare evaluated as
   parallel clamp-monoid scans over a shared uint16 radix-sorted layout;
-  gated separately against the reference loop on a branch-heavy trace.
+  gated separately against the reference loop on a branch-heavy trace,
+  one core as a batch of one.
 
 Times land in ``results/BENCH_batch.json`` (uploaded as a CI artifact)
 so the speedups are tracked across runs.
@@ -34,12 +37,12 @@ from repro.codegen.wrapper import GenerationOptions, generate_test_case
 from repro.sim import Simulator, TraceArtifactCache
 from repro.sim.artifact import TraceArtifact
 from repro.sim.config import CacheGeometry, core_by_name
-from repro.sim.events import simulate_branches
+from repro.sim.events import simulate_branches_batch
 
 from harness import print_header, save_artifact
 
-#: Batched vs per-config vectorized sweep: the batch pass only saves
-#: redundant trace-column work, so the bar is lower than vs reference.
+#: Batched sweep vs batches of one: the batch pass only saves redundant
+#: trace-column work, so the bar is lower than vs reference.
 BATCH_SPEEDUP_TARGET = 2.0
 #: Batched sweep vs the reference per-access loops.
 REFERENCE_SPEEDUP_TARGET = 3.0
@@ -108,36 +111,44 @@ def sweep_cores():
     return cores
 
 
-def timed_sweep(cores, program, engine, config_batch):
+def timed_sweep(cores, program, engine, per_config=False):
     """Best-of-N wall time for the sweep under one engine arm.
 
     Every repetition uses a fresh artifact cache, so each one pays the
     full stage-1 + stage-2 pipeline and nothing leaks between arms.
+    ``per_config`` runs one ``run_many([core])`` per core on that cache
+    instead of one ``run_many(cores)``.
     """
     best_s = float("inf")
     stats = None
     for _ in range(REPEATS):
         cache = TraceArtifactCache(maxsize=2)
         start = time.perf_counter()
-        stats = Simulator.run_many(
-            cores,
-            program,
-            instructions=INSTRUCTIONS,
-            artifact_cache=cache,
-            engine=engine,
-            config_batch=config_batch,
-        )
+        batches = [[core] for core in cores] if per_config else [cores]
+        stats = [
+            s
+            for batch in batches
+            for s in Simulator.run_many(
+                batch,
+                program,
+                instructions=INSTRUCTIONS,
+                artifact_cache=cache,
+                engine=engine,
+            )
+        ]
         best_s = min(best_s, time.perf_counter() - start)
     return best_s, stats
 
 
 def timed_branches(core, trace, warmup, engine, repeats=5):
-    """Best-of-N wall time for one branch event simulation."""
+    """Best-of-N wall time for one core's branch events (a batch of one)."""
     best_s = float("inf")
     result = None
     for _ in range(repeats):
         start = time.perf_counter()
-        result = simulate_branches(core, trace, warmup, engine=engine)
+        result = simulate_branches_batch(
+            [core], trace, [warmup], engine=engine
+        )
         best_s = min(best_s, time.perf_counter() - start)
     return best_s, result
 
@@ -180,16 +191,12 @@ class TestConfigBatch:
                                         "reference")
         tournament_speedup = t_ref_s / max(t_vec_s, 1e-9)
 
-        reference_s, reference = timed_sweep(
-            cores, program, "reference", config_batch=False
-        )
+        reference_s, reference = timed_sweep(cores, program, "reference")
         per_config_s, per_config = timed_sweep(
-            cores, program, "vectorized", config_batch=False
+            cores, program, "vectorized", per_config=True
         )
         obs.reset("engine_path.")
-        batched_s, batched = timed_sweep(
-            cores, program, "vectorized", config_batch=True
-        )
+        batched_s, batched = timed_sweep(cores, program, "vectorized")
         paths = obs.counters("engine_path.")
 
         batch_speedup = per_config_s / max(batched_s, 1e-9)
@@ -200,9 +207,9 @@ class TestConfigBatch:
         print(f"instructions : {INSTRUCTIONS}")
         print(f"reference    : {reference_s:6.3f} s  (per-access loops)")
         print(f"per-config   : {per_config_s:6.3f} s  (vectorized, "
-              f"config_batch=False)")
+              f"{len(cores)} batches of one)")
         print(f"batched      : {batched_s:6.3f} s  (vectorized, "
-              f"config_batch=True)")
+              f"one batch of {len(cores)})")
         print(f"speedups     : {batch_speedup:5.2f}x vs per-config, "
               f"{reference_speedup:5.2f}x vs reference")
         print(f"tournament   : ref {t_ref_s * 1e3:6.1f} ms  "

@@ -10,15 +10,18 @@ proves generate the identical program.  Four such generations on a
 streaming workload (2 MB footprint, aperiodic within the simulated
 window) are evaluated two ways through ``evaluate_configs``:
 
-* **per-config** — the legacy path (``supports_config_batch`` off): one
-  generation + one ``Simulator.run`` per individual, clone or not;
+* **per-config** — the path without generation batching
+  (``supports_config_batch`` off): one generation + one
+  ``Simulator.run`` (a batch of one core) per individual, clone or not;
 * **batched** — the grouped planner: one generation + one
-  ``run_many(config_batch=True)`` shared pass per equivalence group,
-  results fanned back out per individual.
+  ``Simulator.run_group`` shared pass per equivalence group, results
+  fanned back out per individual.
 
-The batched stream must be bit-identical metric-for-metric, must never
-touch the per-config job (``evaluate.single``), must serve every group
-through the config-batched shared pass (``evaluate.group`` +
+Both arms reach stage 2 through the same config-batched kernels; the
+win measured here is generation grouping.  The batched stream must be
+bit-identical metric-for-metric, must never touch the per-config job
+(``evaluate.single``), must serve every group through the grouped job
+and the config-batched shared pass (``evaluate.group`` +
 ``icache.batch``/``memory.batch``/``branch.batch``), and must clear the
 wall-clock gate below.  Times land in ``results/BENCH_tuning.json``
 (uploaded as a CI artifact alongside ``BENCH_batch.json``).
@@ -161,7 +164,7 @@ class TestTuningBatch:
               f"({GENERATIONS} generations x {POPULATION} individuals, "
               f"{distinct} distinct, {groups_per_run} groups)")
         print(f"instructions : {INSTRUCTIONS}  loop {LOOP_SIZE}")
-        print(f"per-config   : {per_config_s:6.3f} s  (legacy path)")
+        print(f"per-config   : {per_config_s:6.3f} s  (one run per config)")
         print(f"batched      : {batched_s:6.3f} s  (grouped shared pass)")
         print(f"speedup      : {speedup:5.2f}x")
         print(f"engine paths : {sorted(paths)}")

@@ -407,10 +407,9 @@ class Coordinator:
             threads = list(self._threads)
             self._cv.notify_all()
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            # close() alone does not wake the accept thread blocked in
+            # accept(); shutting the listener down does.
+            self._drop_socket(self._listener)
         for conn in connections:
             # Shutdown only: each serve thread closes its own fd.
             self._disconnect_socket(conn.sock)

@@ -17,7 +17,8 @@ from repro.obs.registry import MetricsSnapshot
 
 RUN_REPORT_SCHEMA = "run-report-v1"
 
-#: Counter prefix the :mod:`repro.sim.events` compat shim records under.
+#: Counter prefix of the event-engine and evaluation-dispatch paths
+#: (:mod:`repro.sim.events`, :mod:`repro.exec.jobs`).
 ENGINE_PATH_PREFIX = "engine_path."
 
 

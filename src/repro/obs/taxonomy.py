@@ -42,9 +42,13 @@ COUNTERS: dict[str, str] = {
 #: Counter-name *families* whose members are composed at runtime; any
 #: literal or dynamic name under one of these prefixes is declared.
 COUNTER_PREFIXES: dict[str, str] = {
-    "engine_path.": "simulations per event-engine path (memory.*, "
-                    "branch.*, icache.*; repro.sim.events) and "
-                    "evaluation dispatches (evaluate.*; repro.exec.jobs)",
+    "engine_path.": "event-engine paths taken (repro.sim.events: "
+                    "memory.batch, branch.batch, icache.batch per "
+                    "vectorized batch; memory.vectorized.{periodic,"
+                    "aperiodic,straight} per distinct memory key; "
+                    "memory.reference, branch.reference per config) and "
+                    "evaluation dispatches (repro.exec.jobs: "
+                    "evaluate.batch, evaluate.group, evaluate.single)",
 }
 
 #: Last/max-value gauges (merge: max across workers).  None yet.
@@ -54,14 +58,15 @@ GAUGES: dict[str, str] = {}
 SPANS: dict[str, str] = {
     "run": "one whole MicroGrad.run() (wall clock of the run scope)",
     "codegen": "knob configuration -> assembled program",
-    "trace.build": "trace expansion + dependency analysis (TraceArtifact)",
+    "trace.build": "program validation + characterization (TraceArtifact."
+                   "build); trace expansion and the dependency critical "
+                   "path run lazily, outside it",
     "sim.run_many": "one multi-config simulation sweep",
-    "events.memory": "per-config memory event simulation",
-    "events.branch": "per-config branch event simulation",
-    "events.icache": "per-config icache event simulation",
-    "events.memory.batch": "config-batched shared memory event pass",
-    "events.branch.batch": "config-batched shared branch event pass",
-    "events.icache.batch": "config-batched shared icache event pass",
+    "events.memory": "config-batched memory event pass over one trace "
+                     "window (expands the window on first use)",
+    "events.branch": "config-batched branch event pass over one trace "
+                     "window (expands the window on first use)",
+    "events.icache": "config-batched icache event pass",
     "interval.batch": "batched interval-model cycle computation",
     "exec.chunk": "one evaluation chunk in whichever process ran it",
     "cache.result.probe": "result-cache disk probe (scandir pass)",

@@ -16,6 +16,12 @@ shares all the work their parameters cannot distinguish:
 * cache / branch / TLB / I-cache event simulations, per the geometry
   and predictor parameters each one consumes.
 
+Stage-2 events are only computed in batches: ``memory_events_batch``,
+``branch_events_batch`` and ``icache_events_batch`` take a list of
+cores (one core is a batch of one) and hand the distinct keys missing
+from the memo to one :mod:`repro.sim.events` batch call per trace
+window.
+
 Artifacts are held in a bounded :class:`TraceArtifactCache` (LRU); the
 module-level :func:`artifact_for` uses a process-wide cache shared by
 ``Simulator.run_many`` and ``CompositePlatform``.
@@ -267,64 +273,59 @@ class TraceArtifact:
             self._dep[key] = dep
         return dep
 
-    # -- stage 2: per-core event simulations, memoized -------------------
+    # -- stage 2: config-batched event simulations, memoized ------------
+    #
+    # Memo keys carry the resolved engine stamp: engines are
+    # bit-identical, but keeping their entries distinct means a
+    # persisted artifact can never satisfy a lookup with a result
+    # produced under different engine semantics (and lets property
+    # tests hold both engines' results side by side).
 
-    def memory_events(
+    def _trace_events_batch(
         self,
-        core: CoreConfig,
-        warmup_iters: int,
-        iterations: int,
-        engine: str | None = None,
-    ) -> events.MemoryEvents:
-        """Cache/TLB/prefetch events; shared across equal hierarchies.
-
-        Memo keys carry the resolved engine stamp: engines are
-        bit-identical, but keeping their entries distinct means a
-        persisted artifact can never satisfy a lookup with a result
-        produced under different engine semantics (and lets property
-        tests hold both engines' results side by side).
-        """
+        memo: dict,
+        event_key,
+        simulate,
+        per_iter: int,
+        span,
+        cores: list[CoreConfig],
+        warmup_iters_list: list[int],
+        iterations_list: list[int],
+        engine: str | None,
+    ) -> list:
+        """Fill ``memo`` for every core through one ``simulate`` batch
+        per trace window (iterations, line size), each timed by the
+        (reusable) ``span``; return the results in core order.  Only
+        distinct keys missing from the memo are simulated, so memo
+        contents never depend on how cores were batched."""
         engine = events.resolve_engine(engine)
-        key = (
-            (engine,) + events.memory_event_key(core)
-            + (warmup_iters, iterations)
-        )
-        res = self._memory.get(key)
-        if res is None:
-            with obs.span("events.memory"):
-                trace = self.trace(iterations, core.l1d.line_bytes)
-                res = events.simulate_memory(
-                    core, trace, warmup_iters * self.mem_per_iter,
+        keys = [
+            (engine,) + event_key(core) + (warmup, iters)
+            for core, warmup, iters in zip(
+                cores, warmup_iters_list, iterations_list
+            )
+        ]
+        pending: dict[tuple, int] = {}
+        for i, key in enumerate(keys):
+            if key not in memo:
+                pending.setdefault(key, i)
+        groups: dict[tuple, list[int]] = {}
+        for i in pending.values():
+            groups.setdefault(
+                (iterations_list[i], cores[i].l1d.line_bytes), []
+            ).append(i)
+        for (iterations, line_bytes), slots in groups.items():
+            with span:
+                trace = self.trace(iterations, line_bytes)
+                batch = simulate(
+                    [cores[i] for i in slots],
+                    trace,
+                    [warmup_iters_list[i] * per_iter for i in slots],
                     engine=engine,
                 )
-            self._memory[key] = res
-        return res
-
-    def branch_events(
-        self,
-        core: CoreConfig,
-        warmup_iters: int,
-        iterations: int,
-        engine: str | None = None,
-    ) -> tuple[int, int]:
-        """(mispredicts, lookups); shared across equal predictors."""
-        engine = events.resolve_engine(engine)
-        key = (
-            (engine,) + events.branch_event_key(core)
-            + (warmup_iters, iterations)
-        )
-        res = self._branches.get(key)
-        if res is None:
-            # Branch outcomes are independent of the cache line size, so
-            # any trace with the right window length serves.
-            with obs.span("events.branch"):
-                trace = self.trace(iterations, core.l1d.line_bytes)
-                res = events.simulate_branches(
-                    core, trace, warmup_iters * self.br_per_iter,
-                    engine=engine,
-                )
-            self._branches[key] = res
-        return res
+            for i, res in zip(slots, batch):
+                memo[keys[i]] = res
+        return [memo[key] for key in keys]
 
     def memory_events_batch(
         self,
@@ -333,43 +334,16 @@ class TraceArtifact:
         iterations_list: list[int],
         engine: str | None = None,
     ) -> list[events.MemoryEvents]:
-        """Config-batched :meth:`memory_events`: one call fills the memo
-        for a whole core sweep.
-
-        Cores still missing from the memo are grouped per trace window
-        (iterations, line size) and handed to
-        :func:`repro.sim.events.simulate_memory_batch`, which dedupes by
-        event key and shares precomputed trace columns (set indices,
-        LRU recency ranks, ...) across the group.  Memo contents end up
-        identical to per-core calls — batching only changes when the
-        work happens, never what is stored.
-        """
-        engine = events.resolve_engine(engine)
-        keys = [
-            (engine,) + events.memory_event_key(core) + (warmup, iters)
-            for core, warmup, iters in zip(
-                cores, warmup_iters_list, iterations_list
-            )
-        ]
-        groups: dict[tuple, list[int]] = {}
-        for i, (core, key) in enumerate(zip(cores, keys)):
-            if key not in self._memory:
-                groups.setdefault(
-                    (iterations_list[i], core.l1d.line_bytes), []
-                ).append(i)
-        for (iterations, line_bytes), slots in groups.items():
-            with obs.span("events.memory.batch"):
-                trace = self.trace(iterations, line_bytes)
-                batch = events.simulate_memory_batch(
-                    [cores[i] for i in slots],
-                    trace,
-                    [warmup_iters_list[i] * self.mem_per_iter
-                     for i in slots],
-                    engine=engine,
-                )
-            for i, res in zip(slots, batch):
-                self._memory[keys[i]] = res
-        return [self._memory[key] for key in keys]
+        """Cache/TLB/prefetch events per core; one
+        :func:`repro.sim.events.simulate_memory_batch` call per trace
+        window shares precomputed trace columns (set indices, LRU
+        recency ranks, ...) across the cores that read it."""
+        return self._trace_events_batch(
+            self._memory, events.memory_event_key,
+            events.simulate_memory_batch, self.mem_per_iter,
+            obs.span("events.memory"), cores, warmup_iters_list,
+            iterations_list, engine,
+        )
 
     def branch_events_batch(
         self,
@@ -378,56 +352,16 @@ class TraceArtifact:
         iterations_list: list[int],
         engine: str | None = None,
     ) -> list[tuple[int, int]]:
-        """Config-batched :meth:`branch_events` (same contract as
-        :meth:`memory_events_batch`): distinct predictors in the batch
-        share packed histories and ride stacked counter scans."""
-        engine = events.resolve_engine(engine)
-        keys = [
-            (engine,) + events.branch_event_key(core) + (warmup, iters)
-            for core, warmup, iters in zip(
-                cores, warmup_iters_list, iterations_list
-            )
-        ]
-        groups: dict[tuple, list[int]] = {}
-        for i, (core, key) in enumerate(zip(cores, keys)):
-            if key not in self._branches:
-                groups.setdefault(
-                    (iterations_list[i], core.l1d.line_bytes), []
-                ).append(i)
-        for (iterations, line_bytes), slots in groups.items():
-            with obs.span("events.branch.batch"):
-                trace = self.trace(iterations, line_bytes)
-                batch = events.simulate_branches_batch(
-                    [cores[i] for i in slots],
-                    trace,
-                    [warmup_iters_list[i] * self.br_per_iter
-                     for i in slots],
-                    engine=engine,
-                )
-            for i, res in zip(slots, batch):
-                self._branches[keys[i]] = res
-        return [self._branches[key] for key in keys]
-
-    def icache_events(
-        self, core: CoreConfig, measure_iters: int,
-        engine: str | None = None,
-    ) -> tuple[int, int, int]:
-        """(l1i hits, l1i misses, l2-side code misses) for the window.
-
-        Memo keys carry the resolved engine stamp like the memory and
-        branch memos do — the engines are bit-identical, the stamp just
-        keeps their entries distinct in persisted artifacts.
-        """
-        engine = events.resolve_engine(engine)
-        key = (engine,) + events.icache_event_key(core) + (measure_iters,)
-        res = self._icache.get(key)
-        if res is None:
-            with obs.span("events.icache"):
-                res = events.simulate_icache(
-                    core, self.code_bytes, measure_iters, engine=engine
-                )
-            self._icache[key] = res
-        return res
+        """(mispredicts, lookups) per core; distinct predictors share
+        packed histories and ride stacked counter scans in one
+        :func:`repro.sim.events.simulate_branches_batch` call per
+        trace window."""
+        return self._trace_events_batch(
+            self._branches, events.branch_event_key,
+            events.simulate_branches_batch, self.br_per_iter,
+            obs.span("events.branch"), cores, warmup_iters_list,
+            iterations_list, engine,
+        )
 
     def icache_events_batch(
         self,
@@ -435,18 +369,22 @@ class TraceArtifact:
         measure_iters_list: list[int],
         engine: str | None = None,
     ) -> list[tuple[int, int, int]]:
-        """Config-batched :meth:`icache_events` (same contract as
-        :meth:`memory_events_batch`).  The icache model reads only the
-        code footprint — no trace window — so all memo misses go to
-        :func:`repro.sim.events.simulate_icache_batch` in one group."""
+        """(l1i hits, l1i misses, l2-side code misses) per core for its
+        measured window.  The icache model reads only the code
+        footprint — no trace window — so all memo misses go to
+        :func:`repro.sim.events.simulate_icache_batch` in one call."""
         engine = events.resolve_engine(engine)
         keys = [
             (engine,) + events.icache_event_key(core) + (iters,)
             for core, iters in zip(cores, measure_iters_list)
         ]
-        slots = [i for i, key in enumerate(keys) if key not in self._icache]
-        if slots:
-            with obs.span("events.icache.batch"):
+        pending: dict[tuple, int] = {}
+        for i, key in enumerate(keys):
+            if key not in self._icache:
+                pending.setdefault(key, i)
+        if pending:
+            slots = list(pending.values())
+            with obs.span("events.icache"):
                 batch = events.simulate_icache_batch(
                     [cores[i] for i in slots],
                     self.code_bytes,

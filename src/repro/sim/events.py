@@ -1,17 +1,18 @@
 """Stage 2 of the simulator pipeline: per-core event simulation.
 
-The functions here drive one core configuration's cache hierarchy, branch
-predictor, TLB and instruction cache over a shared
+The functions here drive a batch of core configurations' cache
+hierarchies, branch predictors, TLBs and instruction caches over a shared
 :class:`~repro.sim.trace.ExpandedTrace` (stage 1,
 :mod:`repro.sim.artifact`) and count the miss events the interval timing
 model (stage 3, :mod:`repro.sim.interval`) charges for.
 
-Each simulation is a pure function of (core parameters, trace, warmup
-boundary), and each exposes a ``*_key`` companion returning exactly the
-core parameters it reads.  The keys let :class:`~repro.sim.artifact.
-TraceArtifact` memoize event results across a batch of core configs: two
-configs that differ only in back-end width share one memory simulation
-bit-for-bit, which is where ``Simulator.run_many`` earns its speedup.
+Each core's result is a pure function of (core parameters, trace, warmup
+boundary), and each event family exposes a ``*_key`` companion returning
+exactly the core parameters it reads.  The keys let
+:class:`~repro.sim.artifact.TraceArtifact` memoize event results across
+core configs: two configs that differ only in back-end width share one
+memory simulation bit-for-bit, which is where ``Simulator.run_many``
+earns its speedup.
 
 Two engines implement the same semantics:
 
@@ -28,25 +29,27 @@ Two engines implement the same semantics:
   :func:`_lru_position_kernel`), so ``_trace_period() == 0`` no longer
   means reference speed.
 
-Config batching: :func:`simulate_memory_batch` and
-:func:`simulate_branches_batch` evaluate N core configs over one trace
-in a single pass, sharing the precomputed trace columns (set indices,
-pages, recency ranks, packed branch histories) across every config that
-cannot distinguish them.  The shared columns live in the trace's
-``_kernel_cache`` scratch dict, keyed by the geometry that shapes them.
+Config batching is the only entry point: :func:`simulate_memory_batch`,
+:func:`simulate_branches_batch` and :func:`simulate_icache_batch`
+evaluate N core configs over one trace in a single pass, and one config
+is a batch of one.  The vectorized memory and branch passes share the
+precomputed trace columns (set indices, pages, recency ranks, packed
+branch histories) across every config that cannot distinguish them.
+Those columns live in a scratch dict local to the call, keyed by the
+geometry that shapes them; nothing is cached on the trace.
 
 Both engines are bit-identical: every event count an engine returns is
 exactly equal to the reference loop's.  ``REPRO_EVENT_ENGINE`` selects
 the process-wide default.  Because engine equality is asserted on whole
-result objects, the engine path that actually ran (periodic
-extrapolation, aperiodic recency-rank, straight fallback, reference
-loop) is reported out-of-band as ``engine_path.<stage>.<path>``
-counters in the :mod:`repro.obs` registry — ``memory.reference``,
-``memory.vectorized.{periodic,aperiodic,straight}``, ``memory.batch``
-(one per config-batched call) and the ``branch.*``/``icache.*``
-equivalents — read with ``obs.counters("engine_path.")`` and zeroed
-with ``obs.reset("engine_path.")``.  Each simulation also logs its path
-at DEBUG level.
+result objects, the engine path that actually ran is reported
+out-of-band as ``engine_path.<stage>.<path>`` counters in the
+:mod:`repro.obs` registry: ``memory.batch``, ``branch.batch`` and
+``icache.batch`` (one per vectorized batch call),
+``memory.vectorized.{periodic,aperiodic,straight}`` (one per distinct
+memory key in the batch), and ``memory.reference``/``branch.reference``
+(one per config the reference engine runs).  Read them with
+``obs.counters("engine_path.")`` and zero them with
+``obs.reset("engine_path.")``.  Each path is also logged at DEBUG level.
 """
 
 from __future__ import annotations
@@ -137,7 +140,7 @@ class MemoryEvents:
 
 
 def memory_event_key(core: CoreConfig) -> tuple:
-    """Every core parameter :func:`simulate_memory` reads."""
+    """Every core parameter :func:`simulate_memory_batch` reads."""
     return (
         core.l1d.num_sets,
         core.l1d.assoc,
@@ -158,27 +161,6 @@ def _clamped_warmup(warmup: int, total: int) -> int:
     otherwise all-zero result).
     """
     return min(max(warmup, 0), total)
-
-
-def simulate_memory(
-    core: CoreConfig,
-    trace: ExpandedTrace,
-    warmup_accesses: int,
-    engine: str | None = None,
-) -> MemoryEvents:
-    """Drive the L1D/L2 hierarchy over the exact access trace.
-
-    Args:
-        core: core configuration (cache geometry, prefetcher, TLB).
-        trace: shared expanded trace.
-        warmup_accesses: leading accesses that warm state without being
-            counted; clamped to the trace length.
-        engine: event engine (:data:`ENGINES`); ``None`` uses the
-            process default.
-    """
-    if resolve_engine(engine) == "vectorized":
-        return _simulate_memory_vectorized(core, trace, warmup_accesses)
-    return _simulate_memory_reference(core, trace, warmup_accesses)
 
 
 def _simulate_memory_reference(
@@ -542,19 +524,8 @@ class _MemoryKernel:
             self.prefetch_hits += pf_hits
 
 
-def _trace_kernel_cache(trace: ExpandedTrace) -> dict:
-    """The trace's config-batch scratch dict (see ExpandedTrace)."""
-    cache = getattr(trace, "_kernel_cache", None)
-    if cache is None:
-        cache = {}
-        trace._kernel_cache = cache
-    return cache
-
-
-def _shared_get(shared: dict | None, key: tuple, build):
-    """Memoize ``build()`` under ``key`` when a shared dict is present."""
-    if shared is None:
-        return build()
+def _shared_get(shared: dict, key: tuple, build):
+    """Memoize ``build()`` under ``key`` in a batch's scratch dict."""
     value = shared.get(key)
     if value is None:
         value = build()
@@ -562,21 +533,19 @@ def _shared_get(shared: dict | None, key: tuple, build):
     return value
 
 
-def _shared_ranks(shared: dict | None, key: tuple, depth: int, build):
+def _shared_ranks(shared: dict, key: tuple, depth: int, build):
     """Recency ranks capped at ``depth``, reusing any run at least that
     deep: ranks past the needed associativity are all equally "miss"."""
-    if shared is not None:
-        cached = shared.get(key)
-        if cached is not None and cached[0] >= depth:
-            return cached[1]
+    cached = shared.get(key)
+    if cached is not None and cached[0] >= depth:
+        return cached[1]
     ranks = build()
-    if shared is not None:
-        shared[key] = (depth, ranks)
+    shared[key] = (depth, ranks)
     return ranks
 
 
 def _memory_columns(
-    core: CoreConfig, trace: ExpandedTrace, shared: dict | None
+    core: CoreConfig, trace: ExpandedTrace, shared: dict
 ) -> tuple:
     """Precomputed per-access columns, shared across a config batch."""
     lines = _shared_get(
@@ -810,9 +779,9 @@ def _simulate_memory_aperiodic(
     core: CoreConfig,
     trace: ExpandedTrace,
     warmup: int,
-    shared: dict | None,
-    l1_depths: dict | None,
-    l2_depths: dict | None,
+    shared: dict,
+    l1_depths: dict,
+    l2_depths: dict,
 ) -> MemoryEvents:
     """Exact aperiodic/streaming memory engine (no steady state needed).
 
@@ -836,7 +805,7 @@ def _simulate_memory_aperiodic(
     if not _rounds_feasible(n, int(counts1.max())):
         _record_path("memory.vectorized.straight")
         return _run_straight(core, columns, warmup, n)
-    depth1 = max(a1, (l1_depths or {}).get(n1, 0))
+    depth1 = l1_depths[n1]
     l1_rank = _shared_ranks(
         shared, ("l1rank", n1), depth1,
         lambda: _lru_position_kernel(set1, lines, n1, depth1),
@@ -864,7 +833,7 @@ def _simulate_memory_aperiodic(
         if counts2 is not None and _rounds_feasible(
             sub_n, int(counts2.max())
         ):
-            depth2 = max(a2, (l2_depths or {}).get((n1, a1, n2), 0))
+            depth2 = l2_depths[(n1, a1, n2)]
             l2_rank = _shared_ranks(
                 shared, ("l2rank", n1, a1, n2), depth2,
                 lambda: _lru_position_kernel(
@@ -887,9 +856,9 @@ def _simulate_memory_vectorized(
     core: CoreConfig,
     trace: ExpandedTrace,
     warmup_accesses: int,
-    shared: dict | None = None,
-    l1_depths: dict | None = None,
-    l2_depths: dict | None = None,
+    shared: dict,
+    l1_depths: dict,
+    l2_depths: dict,
 ) -> MemoryEvents:
     """Array-kernel memory engine: dispatch on the trace's structure.
 
@@ -897,8 +866,7 @@ def _simulate_memory_vectorized(
     and streaming traces (no detectable period within the window) take
     the exact recency-rank path.  Both are bit-identical to
     :func:`_simulate_memory_reference`.  ``shared`` (plus the depth
-    hints) is the config-batch scratch — see
-    :func:`simulate_memory_batch`.
+    hints) is the batch's scratch — see :func:`simulate_memory_batch`.
     """
     n = int(trace.mem_lines.shape[0])
     warmup = _clamped_warmup(warmup_accesses, n)
@@ -921,14 +889,16 @@ def simulate_memory_batch(
 ) -> list[MemoryEvents]:
     """Memory events for N core configs over one trace, config-batched.
 
-    One pass precomputes the trace columns the whole batch shares —
-    line/store/pc arrays, per-num_sets set indices, page numbers,
-    per-TLB-size miss masks, per-num_sets LRU recency ranks at the
-    deepest associativity any config needs — then evaluates each
+    Drives each core's L1D/L2 hierarchy, prefetcher and DTLB over the
+    exact access trace; ``warmup_accesses[i]`` leading accesses warm
+    core ``i``'s state without being counted (clamped to the trace
+    length).  One pass precomputes the trace columns the whole batch
+    shares — line/store/pc arrays, per-num_sets set indices, page
+    numbers, per-TLB-size miss masks, per-num_sets LRU recency ranks at
+    the deepest associativity any config needs — then evaluates each
     *distinct* (memory key, warmup) combination against them.  The
-    shared columns persist in the trace's ``_kernel_cache``, so
-    successive batches over the same trace keep reusing them.
-    Bit-identical to calling :func:`simulate_memory` per core.
+    shared columns live only for the call.  Results are bit-identical
+    to N batches of one, and to ``engine="reference"``.
     """
     if len(cores) != len(warmup_accesses):
         raise ValueError("one warmup boundary per core required")
@@ -960,7 +930,7 @@ def simulate_memory_batch(
         l1_depths[n1] = max(l1_depths.get(n1, 0), a1)
         sub = (n1, a1, core.l2.num_sets)
         l2_depths[sub] = max(l2_depths.get(sub, 0), core.l2.assoc)
-    shared = _trace_kernel_cache(trace)
+    shared: dict = {}
     results = [
         _simulate_memory_vectorized(
             core, trace, warmup,
@@ -976,7 +946,7 @@ def _simulate_memory_periodic(
     trace: ExpandedTrace,
     warmup: int,
     p_acc: int,
-    shared: dict | None,
+    shared: dict,
 ) -> MemoryEvents:
     """Steady-state extrapolation over a periodic trace.
 
@@ -1043,7 +1013,7 @@ def _simulate_memory_periodic(
 
 
 def branch_event_key(core: CoreConfig) -> tuple:
-    """Every core parameter :func:`simulate_branches` reads.
+    """Every core parameter :func:`simulate_branches_batch` reads.
 
     The key leads with the predictor *kind* and spells out each
     component table: two cores whose predictors differ in kind (or in
@@ -1064,25 +1034,6 @@ def branch_event_key(core: CoreConfig) -> tuple:
     return ("bimodal", reference.table.entries)
 
 
-def simulate_branches(
-    core: CoreConfig,
-    trace: ExpandedTrace,
-    warmup_branches: int,
-    engine: str | None = None,
-) -> tuple[int, int]:
-    """Branch direction prediction over the exact outcome trace.
-
-    Functionally identical to the core's
-    :func:`~repro.sim.branch.predictor_for_core` predictor (gshare,
-    bimodal or tournament).  Returns ``(mispredicts, lookups)`` for the
-    measured window, which starts after ``warmup_branches`` (clamped)
-    trained-but-uncounted branches.
-    """
-    if resolve_engine(engine) == "vectorized":
-        return _simulate_branches_vectorized(core, trace, warmup_branches)
-    return _simulate_branches_reference(core, trace, warmup_branches)
-
-
 def simulate_branches_batch(
     cores: list[CoreConfig],
     trace: ExpandedTrace,
@@ -1091,13 +1042,23 @@ def simulate_branches_batch(
 ) -> list[tuple[int, int]]:
     """Branch events for N core configs over one trace, config-batched.
 
-    Packed global histories are computed once per history width (shared
-    through the trace's ``_kernel_cache``), component table indices are
-    stacked along a leading config axis, and every distinct predictor in
-    the batch rides one multi-row :func:`_counter_prestates` scan (plus
-    one more for tournament choosers, whose steps depend on the
-    component predictions).  Bit-identical to calling
-    :func:`simulate_branches` per core.
+    Functionally identical to each core's
+    :func:`~repro.sim.branch.predictor_for_core` predictor (gshare,
+    bimodal or tournament).  Returns ``(mispredicts, lookups)`` per core
+    for the measured window, which starts after ``warmup_branches[i]``
+    (clamped) trained-but-uncounted branches.
+
+    Packed global histories are computed once per call, component table
+    indices are stacked along a leading config axis, and every distinct
+    predictor in the batch rides one multi-row :func:`_counter_prestates`
+    scan.  Gshare and bimodal rows are scattered back and counted in
+    program order.  A tournament chooser trains on the component
+    *predictions*, so it needs a second scan; it is sized like its
+    bimodal component (:class:`~repro.sim.branch.TournamentPredictor`),
+    so it is indexed identically, and that scan runs in the bimodal
+    row's sorted domain — its layout reused, nothing permuted back to
+    program order.  Bit-identical to N batches of one and to
+    ``engine="reference"``.
     """
     if len(cores) != len(warmup_branches):
         raise ValueError("one warmup boundary per core required")
@@ -1122,76 +1083,67 @@ def simulate_branches_batch(
             work.append(key)
         assignment.append(slot)
 
-    shared = _trace_kernel_cache(trace)
-    pcs = None
-    steps = None
+    results = [(0, 0)] * len(work)
+    live = [slot for slot, (_, warmup) in enumerate(work) if warmup < n]
+    if not live:
+        return [results[slot] for slot in assignment]
+    shared: dict = {}
+    pcs = np.asarray(trace.branch_pcs, dtype=np.int64) >> 2
     rows: list[np.ndarray] = []
-    row_of: dict[int, tuple[int, ...]] = {}
-    for slot, (key, warmup) in enumerate(work):
-        if warmup >= n:
-            continue
-        if pcs is None:
-            pcs = np.asarray(trace.branch_pcs, dtype=np.int64) >> 2
-            steps = np.where(outcomes, np.int8(1), np.int8(-1))
-        row_of[slot] = tuple(
-            range(len(rows), len(rows) + (2 if key[0] == "tournament" else 1))
+    row_of: dict[int, int] = {}
+    for slot in live:
+        row_of[slot] = len(rows)
+        rows.extend(
+            _component_index_rows(work[slot][0], pcs, outcomes, shared)
         )
-        rows.extend(_component_index_rows(key, pcs, outcomes, shared))
-    layout = None
-    if rows:
-        stacked = np.stack(rows)
-        layout = _counter_layout(stacked)
-        states = _counter_prestates(stacked, steps, layout)
-    else:
-        states = None
+    layout = _counter_layout(np.stack(rows))
+    order = layout[0]
+    grouped = _counter_prestates(
+        np.where(outcomes, np.int8(1), np.int8(-1)), layout
+    )
 
-    results: list[tuple[int, int]] = []
-    chooser_rows: list[tuple[int, np.ndarray, np.ndarray]] = []
-    for slot, (key, warmup) in enumerate(work):
-        if warmup >= n:
-            results.append((0, 0))
-            continue
-        if key[0] == "tournament":
-            g_row, b_row = row_of[slot]
-            chooser_rows.append((slot, states[g_row] >= 2, states[b_row] >= 2))
-            results.append((0, n - warmup))  # mispredicts filled below
-        else:
-            pred = states[row_of[slot][0]] >= 2
-            results.append((
-                int(np.count_nonzero(pred[warmup:] != outcomes[warmup:])),
-                n - warmup,
-            ))
-    if chooser_rows:
-        c_steps = [
-            np.where(
-                g_pred == b_pred,
-                np.int8(0),
-                np.where(g_pred == outcomes, np.int8(1), np.int8(-1)),
-            )
-            for slot, g_pred, b_pred in chooser_rows
-        ]
-        # Choosers sized like their bimodal component (the common case)
-        # are indexed identically, so they reuse phase A's bimodal rows
-        # — indices and layouts both.
-        if all(work[slot][0][4] == work[slot][0][1]
-               for slot, _, _ in chooser_rows):
-            b_rows = [row_of[slot][1] for slot, _, _ in chooser_rows]
-            c_stack = stacked[b_rows]
-            c_layout = _layout_rows(layout, b_rows, n)
-        else:
-            c_stack = np.stack([
-                pcs & (work[slot][0][4] - 1)
-                for slot, _, _ in chooser_rows
-            ])
-            c_layout = None
-        c_states = _counter_prestates(c_stack, np.stack(c_steps), c_layout)
-        for (slot, g_pred, b_pred), c_state in zip(chooser_rows, c_states):
-            warmup = work[slot][1]
-            pred = np.where(c_state >= 2, g_pred, b_pred)
+    choosers: list[tuple] = []  # (slot, b_row, g_pred_b, b_pred_b, out_b)
+    c_steps: list[np.ndarray] = []
+    for slot in live:
+        (key, warmup), row = work[slot], row_of[slot]
+        if key[0] != "tournament":
+            pred = np.empty(n, dtype=bool)
+            pred[order[row]] = grouped[row] >= 2
             results[slot] = (
                 int(np.count_nonzero(pred[warmup:] != outcomes[warmup:])),
                 n - warmup,
             )
+            continue
+        # Gshare row, then bimodal row; both viewed in bimodal order.
+        b_row = row + 1
+        b_order = order[b_row]
+        g_pred = np.empty(n, dtype=bool)
+        g_pred[order[row]] = grouped[row] >= 2
+        g_pred_b = g_pred[b_order]
+        b_pred_b = grouped[b_row] >= 2
+        out_b = outcomes[b_order]
+        # Chooser step: +1/-1 toward gshare when the components
+        # disagree and gshare was right/wrong, else 0 — which is just
+        # (gshare correct) - (bimodal correct).
+        c_steps.append(
+            (g_pred_b == out_b).view(np.int8)
+            - (b_pred_b == out_b).view(np.int8)
+        )
+        choosers.append((slot, b_row, g_pred_b, b_pred_b, out_b))
+    if choosers:
+        c_states = _counter_prestates(
+            np.stack(c_steps),
+            _layout_rows(layout, [c[1] for c in choosers], n),
+            grouped_steps=True,
+        )
+        for (slot, b_row, g_pred_b, b_pred_b, out_b), c_state in zip(
+            choosers, c_states
+        ):
+            warmup = work[slot][1]
+            wrong = np.where(c_state >= 2, g_pred_b, b_pred_b) != out_b
+            if warmup:
+                wrong &= order[b_row] >= warmup
+            results[slot] = (int(np.count_nonzero(wrong)), n - warmup)
     return [results[slot] for slot in assignment]
 
 
@@ -1310,27 +1262,26 @@ def _branches_reference_tournament(
 
 
 def _branch_history(
-    outcomes: np.ndarray, history_bits: int, shared: dict | None = None
+    outcomes: np.ndarray, history_bits: int, shared: dict
 ) -> np.ndarray:
     """Packed global history before each branch (independent of the
     counters): bit ``b`` of entry ``k`` is outcome ``k-1-b``.
 
-    Width-independent sharing: the cache keeps the widest packing
-    computed so far, and any narrower history is its low-bit mask —
-    one packing serves gshare components of every size in a batch.
+    Width-independent sharing: the batch's ``shared`` scratch keeps the
+    widest packing computed so far, and any narrower history is its
+    low-bit mask — one packing serves gshare components of every size.
     Narrow histories (≤16 bits, every Table II predictor) come back
     uint16 so the downstream index math stays quarter-width.
     """
     n = int(outcomes.shape[0])
     if history_bits <= 0:
         return np.zeros(n, dtype=np.uint16)
-    if shared is not None:
-        cached = shared.get(("history",))
-        if cached is not None and cached[0] >= history_bits:
-            bits, packed = cached
-            if bits == history_bits:
-                return packed
-            return packed & ((1 << history_bits) - 1)
+    cached = shared.get(("history",))
+    if cached is not None and cached[0] >= history_bits:
+        bits, packed = cached
+        if bits == history_bits:
+            return packed
+        return packed & ((1 << history_bits) - 1)
     # Bit b of entry k is outcome k-1-b: one shifted add per history
     # bit (far cheaper in a narrow dtype than an int64 matmul).
     dtype = np.uint16 if history_bits <= 16 else np.int64
@@ -1342,10 +1293,7 @@ def _branch_history(
             taken[: n - 1 - b].astype(dtype) << dtype(b),
             out=history[b + 1:],
         )
-    if shared is not None:
-        cached = shared.get(("history",))
-        if cached is None or cached[0] < history_bits:
-            shared[("history",)] = (history_bits, history)
+    shared[("history",)] = (history_bits, history)
     return history
 
 
@@ -1353,7 +1301,7 @@ def _component_index_rows(
     key: tuple,
     pcs2: np.ndarray,
     outcomes: np.ndarray,
-    shared: dict | None,
+    shared: dict,
 ) -> np.ndarray:
     """Per-access table indices for a predictor's component tables,
     stacked as one matrix (tournament: gshare row then bimodal row;
@@ -1416,7 +1364,7 @@ def _counter_layout(indices: np.ndarray) -> tuple:
     flat segment start offsets, each element's segment id, its offset
     within that segment, and the longest segment.
 
-    Split out from :func:`_counter_prestates` so callers can reuse a
+    Kept apart from :func:`_counter_prestates` so callers can reuse a
     layout across scans over the *same* index rows — the tournament
     chooser is indexed identically to its bimodal component, so its
     second-phase scan rides the component's ordering for free (see
@@ -1477,19 +1425,17 @@ def _layout_rows(layout: tuple, rows: list[int], n: int) -> tuple:
 
 
 def _counter_prestates(
-    indices: np.ndarray,
     steps: np.ndarray,
-    layout: tuple | None = None,
+    layout: tuple,
     grouped_steps: bool = False,
-    keep_grouped: bool = False,
 ) -> np.ndarray:
     """Pre-access 2-bit saturating-counter states for R independent
     tables at once.
 
-    ``indices``/``steps`` are (R, n): row r gives table r's entry index
-    and saturating step per access.  Grouping accesses by index makes
-    each table entry an independent segment, evaluated by one of two
-    bit-identical kernels:
+    ``layout`` (:func:`_counter_layout` over an (R, n) index matrix)
+    groups each table's accesses by entry, making each table entry an
+    independent segment; ``steps`` gives the saturating step per access.
+    The segments are evaluated by one of two bit-identical kernels:
 
     * **rounds** (the fast path on loop branch traces, whose segments —
       one per static branch site per table — are long and plentiful):
@@ -1507,28 +1453,21 @@ def _counter_prestates(
     A zero step is the identity under both kernels — that is what lets
     the tournament chooser (trained only when its components disagree)
     ride the same machinery.  Returns the int8 counter value *before*
-    each access (initial state: weakly taken, 2), in original access
-    order per row.  ``steps`` may be 1-D when every row steps
-    identically (gather through the order is cheaper than a broadcast
-    take_along).
+    each access (initial state: weakly taken, 2) in the layout's sorted
+    domain: row r lists its accesses in ``order[r]`` sequence.
 
-    ``grouped_steps``/``keep_grouped`` let a caller who already lives
-    in the layout's sorted domain (the tournament chooser phase, whose
-    steps come from component predictions) skip the permutation on the
-    way in and/or out.
+    ``steps`` is 1-D in program order when every row steps identically
+    (the component tables, which train on the outcome), or — with
+    ``grouped_steps`` — (R, n) already in the sorted domain (the
+    tournament chooser phase, whose steps come from component
+    predictions).
     """
-    rows, n = indices.shape
-    if layout is None:
-        layout = _counter_layout(indices)
     order, seg_start, starts, seg_id, pos, max_len = layout
+    rows, n = order.shape
     if grouped_steps:
         d8 = steps.astype(np.int8, copy=False).reshape(rows, n)
-    elif steps.ndim == 1:
-        d8 = steps.astype(np.int8, copy=False)[order]
     else:
-        d8 = np.take_along_axis(
-            steps.astype(np.int8, copy=False), order, axis=1
-        )
+        d8 = steps.astype(np.int8, copy=False)[order]
 
     total = rows * n
     if (
@@ -1566,12 +1505,7 @@ def _counter_prestates(
         pre = np.empty((paired, num_segs), dtype=np.int8)
         pre[0::2] = even
         pre[1::2] = odd
-        state_sorted = pre[pos, seg_id].reshape(rows, n)
-        if keep_grouped:
-            return state_sorted
-        states = np.empty((rows, n), dtype=np.int8)
-        np.put_along_axis(states, order, state_sorted, axis=1)
-        return states
+        return pre[pos, seg_id].reshape(rows, n)
 
     # Each step is f(x) = min(3, max(0, x + step)): triple (a=0, b=3, d).
     d = d8.astype(np.int64)
@@ -1603,91 +1537,11 @@ def _counter_prestates(
         b[:, :-1], np.maximum(a[:, :-1], 2 + d[:, :-1])
     )
     state_sorted[:, 1:] = np.where(seg_start[:, 1:], 2, applied)
-
-    if keep_grouped:
-        return state_sorted.astype(np.int8)
-    states = np.empty((rows, n), dtype=np.int8)
-    np.put_along_axis(states, order, state_sorted.astype(np.int8), axis=1)
-    return states
-
-
-def _simulate_branches_vectorized(
-    core: CoreConfig,
-    trace: ExpandedTrace,
-    warmup_branches: int,
-    shared: dict | None = None,
-) -> tuple[int, int]:
-    """Segmented-scan branch engine for all predictor kinds.
-
-    gshare/bimodal need one :func:`_counter_prestates` row.  The
-    tournament predictor needs two phases: its gshare and bimodal
-    components scan in parallel rows (their training is unconditional,
-    so their steps are known upfront), then the chooser — whose steps
-    depend on the component *predictions* — runs one more scan with
-    steps in {-1, 0, +1}.  A chooser sized like the bimodal component
-    (every Table II tournament core) is indexed identically to it, so
-    phase two runs entirely in that row's sorted domain: the component
-    layout is reused and no permutation back to program order is ever
-    materialised — mispredicts are counted through the order itself.
-    Bit-identical to the reference loops.
-    """
-    outcomes = np.asarray(trace.branch_outcomes, dtype=bool)
-    n = int(outcomes.shape[0])
-    warmup = _clamped_warmup(warmup_branches, n)
-    if warmup >= n:
-        return 0, 0
-    _record_path("branch.vectorized.scan")
-    key = branch_event_key(core)
-    pcs2 = np.asarray(trace.branch_pcs, dtype=np.int64) >> 2
-    steps = np.where(outcomes, np.int8(1), np.int8(-1))
-    stacked = _component_index_rows(key, pcs2, outcomes, shared)
-    layout = _counter_layout(stacked)
-    if key[0] == "tournament" and key[4] == key[1]:
-        grouped = _counter_prestates(stacked, steps, layout,
-                                     keep_grouped=True)
-        g_order, b_order = layout[0]
-        g_pred = np.empty(n, dtype=bool)
-        g_pred[g_order] = grouped[0] >= 2
-        g_pred_b = g_pred[b_order]
-        b_pred_b = grouped[1] >= 2
-        out_b = outcomes[b_order]
-        # Chooser step: +1/-1 toward gshare when the components
-        # disagree and gshare was right/wrong, else 0 — which is just
-        # (gshare correct) - (bimodal correct).
-        c_steps_b = (
-            (g_pred_b == out_b).view(np.int8)
-            - (b_pred_b == out_b).view(np.int8)
-        )
-        c_state_b = _counter_prestates(
-            stacked[1:2], c_steps_b, _layout_rows(layout, [1], n),
-            grouped_steps=True, keep_grouped=True,
-        )[0]
-        wrong = np.where(c_state_b >= 2, g_pred_b, b_pred_b) != out_b
-        if warmup:
-            wrong &= b_order >= warmup
-        return int(np.count_nonzero(wrong)), n - warmup
-    states = _counter_prestates(stacked, steps, layout)
-    if key[0] == "tournament":
-        g_pred = states[0] >= 2
-        b_pred = states[1] >= 2
-        c_steps = np.where(
-            g_pred == b_pred,
-            np.int8(0),
-            np.where(g_pred == outcomes, np.int8(1), np.int8(-1)),
-        )
-        c_index = (pcs2 & (key[4] - 1))[None, :]
-        c_state = _counter_prestates(c_index, c_steps)[0]
-        prediction = np.where(c_state >= 2, g_pred, b_pred)
-    else:
-        prediction = states[0] >= 2
-    mispredicts = int(
-        np.count_nonzero(prediction[warmup:] != outcomes[warmup:])
-    )
-    return mispredicts, n - warmup
+    return state_sorted.astype(np.int8)
 
 
 def icache_event_key(core: CoreConfig) -> tuple:
-    """Every core parameter :func:`simulate_icache` reads."""
+    """Every core parameter :func:`simulate_icache_batch` reads."""
     return (
         core.l1i.num_sets,
         core.l1i.assoc,
@@ -1721,39 +1575,21 @@ def _icache_counts(
     return hits, misses, l2_misses
 
 
-def simulate_icache(
-    core: CoreConfig, code_bytes: int, iterations: int,
-    engine: str | None = None,
-) -> tuple[int, int, int]:
-    """(l1i hits, l1i misses, l2-side code misses) for the window.
-
-    ``engine="reference"`` runs :func:`cyclic_code_hits`'s per-set loop;
-    the vectorized engine uses the bit-identical closed form over the at
-    most two distinct per-set line counts.
-    """
-    if resolve_engine(engine) == "reference":
-        _record_path("icache.reference")
-        code_hits = cyclic_code_hits
-    else:
-        _record_path("icache.vectorized")
-        code_hits = cyclic_code_hits_closed
-    return _icache_counts(core, code_bytes, iterations, code_hits)
-
-
 def simulate_icache_batch(
     cores: "list[CoreConfig]",
     code_bytes: int,
     iterations_list: "list[int]",
     engine: str | None = None,
 ) -> "list[tuple[int, int, int]]":
-    """Batched :func:`simulate_icache` over one program's code bytes.
+    """(l1i hits, l1i misses, l2-side code misses) per core for a
+    window of ``iterations_list[i]`` loop iterations of ``code_bytes``.
 
-    The instruction-cache model is closed-form in the core geometry and
-    iteration count — unlike the memory/branch sims it reads no trace
-    columns — so the batch win is pure dedup: each distinct
+    ``engine="reference"`` runs :func:`cyclic_code_hits`'s per-set loop;
+    the vectorized engine uses the bit-identical closed form over the at
+    most two distinct per-set line counts.  The model reads no trace
+    columns, so the batch win is pure dedup: each distinct
     ``icache_event_key(core) + (iterations,)`` is evaluated once and
-    fanned back out in input order.  Bit-identical to calling
-    :func:`simulate_icache` per core under the same engine.
+    fanned back out in input order.
     """
     if len(cores) != len(iterations_list):
         raise ValueError(

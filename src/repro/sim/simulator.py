@@ -6,32 +6,32 @@ The simulation is an explicit three-stage pipeline:
    trace, analyze the dependency graph and characterize the instruction
    mix once per (program fingerprint, instruction budget);
 2. **Event simulation** (:mod:`repro.sim.events`) — drive the cache
-   hierarchy, branch predictor and TLB of one core config over the
-   shared trace, memoized per the core parameters each event sim reads;
+   hierarchies, branch predictors and TLBs of a batch of core configs
+   over the shared trace in one config-batched pass per event family,
+   memoized per the core parameters each event sim reads;
 3. **Interval timing** (:mod:`repro.sim.interval`) — convert instruction
    mix + miss events into cycles, batched over core configs.
 
-:meth:`Simulator.run` evaluates one core; :meth:`Simulator.run_many`
-evaluates a batch of core configs against one shared artifact, which is
-several times faster than independent runs because stages 1-2 are shared
-wherever the configs' parameters cannot distinguish them.
+:meth:`Simulator.run_many` evaluates a batch of core configs against one
+shared artifact, which is several times faster than independent runs
+because stages 1-2 are shared wherever the configs' parameters cannot
+distinguish them.  :meth:`Simulator.run` is a batch of one core, and
+:meth:`Simulator.run_group` a batch of identical cores that dedups to one
+event pass.
 """
 
 from __future__ import annotations
 
 from repro import obs
 from repro.isa.program import Program
-from repro.sim import events
 from repro.sim.artifact import (
-    MAX_MEASURE_ITERATIONS as _MAX_MEASURE_ITERATIONS,
-    MAX_WARMUP_ITERATIONS as _MAX_WARMUP_ITERATIONS,
-    MIN_MEASURE_ITERATIONS as _MIN_MEASURE_ITERATIONS,
     TraceArtifact,
     TraceArtifactCache,
     artifact_for,
     program_fingerprint,
 )
 from repro.sim.config import CoreConfig
+from repro.sim.events import MemoryEvents
 from repro.sim.interval import IntervalInputs, MissProfile, compute_cycles_batch
 from repro.sim.stats import SimStats
 
@@ -60,12 +60,6 @@ class Simulator:
 
         stats_list = Simulator.run_many([core_a, core_b], program)
     """
-
-    #: Iteration-schedule bounds (kept as class attributes for
-    #: backwards compatibility; the values live in ``repro.sim.artifact``).
-    MAX_WARMUP_ITERATIONS = _MAX_WARMUP_ITERATIONS
-    MIN_MEASURE_ITERATIONS = _MIN_MEASURE_ITERATIONS
-    MAX_MEASURE_ITERATIONS = _MAX_MEASURE_ITERATIONS
 
     def __init__(self, core: CoreConfig,
                  artifact_cache: TraceArtifactCache | None = None):
@@ -96,30 +90,20 @@ class Simulator:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _event_pass(
+    def _interval_inputs(
         core: CoreConfig,
         artifact: TraceArtifact,
-        warmup_fraction: float,
-        engine: str | None = None,
-    ) -> tuple[IntervalInputs, dict]:
-        """Stages 1-2 for one core: schedule, events, interval inputs."""
-        warmup_iters, measure_iters = artifact.schedule(core, warmup_fraction)
-        iterations = warmup_iters + measure_iters
-
-        mem = artifact.memory_events(
-            core, warmup_iters, iterations, engine=engine
-        )
-        mispredicts, branch_lookups = artifact.branch_events(
-            core, warmup_iters, iterations, engine=engine
-        )
-        i_hits, i_misses, i_l2_misses = artifact.icache_events(
-            core, measure_iters, engine=engine
-        )
-
+        measure_iters: int,
+        mem: MemoryEvents,
+        mispredicts: int,
+        icache: tuple[int, int, int],
+    ) -> IntervalInputs:
+        """One core's stage-2 results folded into interval inputs."""
+        _, i_misses, i_l2_misses = icache
         class_counts = {
             c: n * measure_iters for c, n in artifact.static_counts.items()
         }
-        inputs = IntervalInputs(
+        return IntervalInputs(
             core=core,
             total_instructions=artifact.loop_size * measure_iters,
             class_counts=class_counts,
@@ -138,30 +122,22 @@ class Simulator:
             dependency_distance=artifact.dependency_distance,
             parallel_streams=artifact.parallel_streams,
         )
-        context = {
-            "mem": mem,
-            "mispredicts": mispredicts,
-            "branch_lookups": branch_lookups,
-            "i_hits": i_hits,
-            "i_misses": i_misses,
-            "warmup_iters": warmup_iters,
-            "measure_iters": measure_iters,
-        }
-        return inputs, context
 
     @staticmethod
     def _assemble_stats(
         core: CoreConfig,
         artifact: TraceArtifact,
         inputs: IntervalInputs,
-        context: dict,
+        warmup_iters: int,
+        measure_iters: int,
+        mem: MemoryEvents,
+        branch: tuple[int, int],
+        icache: tuple[int, int, int],
         timing,
     ) -> SimStats:
         """Package one core's pipeline outputs into :class:`SimStats`."""
-        mem = context["mem"]
-        mispredicts = context["mispredicts"]
-        branch_lookups = context["branch_lookups"]
-        i_hits, i_misses = context["i_hits"], context["i_misses"]
+        mispredicts, branch_lookups = branch
+        i_hits, i_misses, _ = icache
         total = inputs.total_instructions
 
         l1d_hit_rate = (
@@ -193,8 +169,8 @@ class Simulator:
             breakdown=timing.breakdown,
             binding_bound=timing.binding_bound,
             extra={
-                "iterations": context["measure_iters"],
-                "warmup_iterations": context["warmup_iters"],
+                "iterations": measure_iters,
+                "warmup_iterations": warmup_iters,
                 "dep_cycles_per_iteration": inputs.dep_cycles_per_iteration,
                 "branch_lookups": branch_lookups,
                 "l1d_accesses": mem.l1d_accesses,
@@ -263,9 +239,9 @@ class Simulator:
         The generation-batched tuning path collapses a group of knob
         configurations that provably generate this exact program into
         one dispatch; this is its entry point.  It is literally
-        ``run_many([self.core] * count, ..., config_batch=True)``: the
-        group's identical cores dedup to one shared event pass, and each
-        caller gets its own (bit-identical) :class:`SimStats` back.
+        ``run_many([self.core] * count, ...)``: the group's identical
+        cores dedup to one shared event pass, and each caller gets its
+        own (bit-identical) :class:`SimStats` back.
         """
         return self.run_many(
             [self.core] * count,
@@ -275,7 +251,6 @@ class Simulator:
             artifact=artifact,
             artifact_cache=self._artifacts,
             engine=engine,
-            config_batch=True,
         )
 
     @classmethod
@@ -288,7 +263,6 @@ class Simulator:
         artifact: TraceArtifact | None = None,
         artifact_cache: TraceArtifactCache | None = None,
         engine: str | None = None,
-        config_batch: bool = True,
     ) -> list[SimStats]:
         """Simulate one program under a batch of core configurations.
 
@@ -296,12 +270,11 @@ class Simulator:
         the whole batch: trace expansion, dependency analysis and every
         event simulation are memoized on the core parameters they read,
         so configs differing only in back-end structure reuse each
-        other's event streams outright.  With ``config_batch`` (the
-        default) the vectorized engine additionally evaluates all
-        *distinct* event keys in the batch over one shared block of
-        precomputed trace columns before the per-core passes run, so a
-        sweep pays for the trace-derived work once instead of once per
-        config.  Results are bit-identical to
+        other's event streams outright.  Stage 2 runs one config-batched
+        pass per event family and trace window, evaluating every
+        *distinct* event key over one shared block of precomputed trace
+        columns, so a sweep pays for the trace-derived work once instead
+        of once per config.  Results are bit-identical to
         ``[Simulator(c).run(program, ...) for c in cores]``.
 
         Args:
@@ -315,10 +288,6 @@ class Simulator:
             engine: stage-2 event engine (``reference`` / ``vectorized``);
                 ``None`` uses the process default.  Engines are
                 bit-identical, and event memoization is engine-stamped.
-            config_batch: prefill the artifact's event memos through the
-                config-batched kernels when the vectorized engine is
-                active.  Disable to force independent per-config passes
-                (the benchmark baseline); outputs are identical.
 
         Returns:
             One :class:`SimStats` per core, in input order.
@@ -326,7 +295,7 @@ class Simulator:
         with obs.span("sim.run_many"):
             return cls._run_many(
                 cores, program, instructions, warmup_fraction,
-                artifact, artifact_cache, engine, config_batch,
+                artifact, artifact_cache, engine,
             )
 
     @classmethod
@@ -339,7 +308,6 @@ class Simulator:
         artifact: TraceArtifact | None,
         artifact_cache: TraceArtifactCache | None,
         engine: str | None,
-        config_batch: bool,
     ) -> list[SimStats]:
         cache = None
         if artifact is None:
@@ -368,39 +336,33 @@ class Simulator:
                 "artifact was built for a different program "
                 f"(fingerprint {artifact.fingerprint})"
             )
-        if (
-            config_batch
-            and len(cores) > 1
-            and events.resolve_engine(engine) == "vectorized"
-        ):
-            # One config-batched kernel pass per event family fills the
-            # memos; the per-core passes below then hit them outright.
-            schedules = [
-                artifact.schedule(core, warmup_fraction) for core in cores
-            ]
-            warmups = [w for w, _ in schedules]
-            iterations = [w + m for w, m in schedules]
-            artifact.memory_events_batch(
-                cores, warmups, iterations, engine=engine
-            )
-            artifact.branch_events_batch(
-                cores, warmups, iterations, engine=engine
-            )
-            artifact.icache_events_batch(
-                cores, [m for _, m in schedules], engine=engine
-            )
-        passes = [
-            cls._event_pass(core, artifact, warmup_fraction, engine=engine)
-            for core in cores
+        schedules = [
+            artifact.schedule(core, warmup_fraction) for core in cores
+        ]
+        warmups = [w for w, _ in schedules]
+        measures = [m for _, m in schedules]
+        iterations = [w + m for w, m in schedules]
+        mems = artifact.memory_events_batch(
+            cores, warmups, iterations, engine=engine
+        )
+        branches = artifact.branch_events_batch(
+            cores, warmups, iterations, engine=engine
+        )
+        icaches = artifact.icache_events_batch(cores, measures, engine=engine)
+        # (core, warmup, measure, memory, branch, icache) per core.
+        per_core = list(zip(cores, warmups, measures, mems, branches, icaches))
+        inputs = [
+            cls._interval_inputs(core, artifact, measure, mem, branch[0], icache)
+            for core, _, measure, mem, branch, icache in per_core
         ]
         if cache is not None:
             # Capture the stages this batch memoized in the on-disk
             # artifact store (no-op unless one is attached).
             cache.persist(artifact)
-        timings = compute_cycles_batch([inputs for inputs, _ in passes])
+        timings = compute_cycles_batch(inputs)
         return [
-            cls._assemble_stats(core, artifact, inputs, context, timing)
-            for core, (inputs, context), timing in zip(
-                cores, passes, timings
+            cls._assemble_stats(core, artifact, core_inputs, *results, timing)
+            for (core, *results), core_inputs, timing in zip(
+                per_core, inputs, timings
             )
         ]

@@ -48,25 +48,6 @@ class ExpandedTrace:
     #: (see repro.sim.events._trace_period); None until first computed.
     #: Core-independent, so one detection serves a whole config sweep.
     min_period: int | None = field(default=None, repr=False)
-    #: Config-batched kernel scratch (repro.sim.events): precomputed
-    #: trace columns (set indices, pages, LRU recency ranks, packed
-    #: branch histories) shared across the core configs of a batch.
-    #: Derived data only — excluded from pickles so persisted artifacts
-    #: stay small and loadable across schema versions.
-    _kernel_cache: dict = field(
-        default_factory=dict, repr=False, compare=False
-    )
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_kernel_cache", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        # Traces pickled before the config-batched engine (or by
-        # __getstate__ above) carry no scratch; rebuild lazily.
-        self.__dict__.setdefault("_kernel_cache", {})
 
     @property
     def total_instructions(self) -> int:

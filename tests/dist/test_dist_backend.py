@@ -1,6 +1,7 @@
 """DistributedBackend tests: ordering, reuse, errors, bit-identity."""
 
 import threading
+import time
 
 import pytest
 
@@ -174,6 +175,19 @@ class TestCoordinator:
         finally:
             coordinator.shutdown()
             worker.join(timeout=5)
+
+    def test_idle_shutdown_is_prompt(self):
+        # Closing a listener does not wake the thread blocked in its
+        # accept(); without a wakeup, shutdown sits out its 2 s join.
+        coordinator = Coordinator()
+        coordinator.start()
+        with coordinator._cv:
+            [accept] = [t for t in coordinator._threads
+                        if t.name == "dist-accept"]
+        start = time.perf_counter()
+        coordinator.shutdown()
+        assert time.perf_counter() - start < 0.5
+        assert not accept.is_alive()
 
     def test_wait_times_out(self):
         coordinator = Coordinator()

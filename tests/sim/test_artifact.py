@@ -25,9 +25,9 @@ from repro.sim.artifact import TraceArtifact
 from repro.sim.config import CacheGeometry
 from repro.sim.depgraph import critical_path_per_iteration
 from repro.sim.events import (
-    simulate_branches,
-    simulate_icache,
-    simulate_memory,
+    simulate_branches_batch,
+    simulate_icache_batch,
+    simulate_memory_batch,
 )
 from repro.sim.interval import MissProfile, compute_cycles
 from repro.sim.trace import expand
@@ -90,16 +90,18 @@ def straightline_reference(core, program, instructions, warmup_fraction=0.2):
     iterations = warmup_iters + measure_iters
 
     trace = expand(program, iterations, line_bytes=core.l1d.line_bytes)
-    mem = simulate_memory(
-        core, trace, warmup_iters * len(program.memory_instructions()),
+    [mem] = simulate_memory_batch(
+        [core], trace, [warmup_iters * len(program.memory_instructions())],
         engine="reference",
     )
-    mispredicts, lookups = simulate_branches(
-        core, trace, warmup_iters * len(program.branch_instructions()),
+    [(mispredicts, lookups)] = simulate_branches_batch(
+        [core], trace, [warmup_iters * len(program.branch_instructions())],
         engine="reference",
     )
     code_bytes = program.metadata.get("code_bytes", loop * 4)
-    i_hits, i_misses, i_l2 = simulate_icache(core, code_bytes, measure_iters)
+    [(i_hits, i_misses, i_l2)] = simulate_icache_batch(
+        [core], code_bytes, [measure_iters]
+    )
 
     total = loop * measure_iters
     class_counts = {

@@ -34,9 +34,7 @@ from repro.sim.events import (
     MemoryEvents,
     branch_event_key,
     resolve_engine,
-    simulate_branches,
     simulate_branches_batch,
-    simulate_memory,
     simulate_memory_batch,
 )
 from repro.sim.trace import ExpandedTrace
@@ -50,6 +48,20 @@ KNOBS = dict(ADD=5, MUL=1, FADDD=1, FMULD=1, BEQ=1, BNE=1,
 #: fits in L2 / streams past the L2.
 FOOTPRINTS = (8, 128, 2048)
 WARMUP_FRACTIONS = (0.0, 0.2, 1.0)
+
+
+def memory_events(core, trace, warmup, engine=None) -> MemoryEvents:
+    """One core's memory events: a batch of one."""
+    [events] = simulate_memory_batch([core], trace, [warmup], engine=engine)
+    return events
+
+
+def branch_events(core, trace, warmup, engine=None) -> tuple[int, int]:
+    """One core's (mispredicts, lookups): a batch of one."""
+    [result] = simulate_branches_batch(
+        [core], trace, [warmup], engine=engine
+    )
+    return result
 
 
 def mem_trace(lines, pcs=None, stores=None) -> ExpandedTrace:
@@ -115,7 +127,7 @@ class TestWarmupOverrun:
     def test_memory_overrun_counts_nothing(self, engine, overrun):
         trace = mem_trace([(16 * t) % 256 for t in range(24)])
         warmup = len(trace.mem_lines) + overrun
-        events = simulate_memory(SMALL_CORE, trace, warmup, engine=engine)
+        events = memory_events(SMALL_CORE, trace, warmup, engine=engine)
         # Before the fix the counting flag never flipped, so the cache
         # counters were zero but dtlb_misses/dtlb_accesses still carried
         # the warmup-inclusive TLB totals.
@@ -127,16 +139,16 @@ class TestWarmupOverrun:
     def test_branch_overrun_counts_nothing(self, engine, overrun):
         trace = branch_trace([8] * 31, [t % 3 == 0 for t in range(31)])
         warmup = len(trace.branch_pcs) + overrun
-        assert simulate_branches(
+        assert branch_events(
             SMALL_CORE, trace, warmup, engine=engine
         ) == (0, 0)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_negative_warmup_clamps_to_zero(self, engine):
         trace = mem_trace([(64 * t) % 1024 for t in range(16)])
-        assert simulate_memory(
+        assert memory_events(
             SMALL_CORE, trace, -5, engine=engine
-        ) == simulate_memory(SMALL_CORE, trace, 0, engine=engine)
+        ) == memory_events(SMALL_CORE, trace, 0, engine=engine)
 
 
 class TestPrefetchWarmupLeakage:
@@ -171,7 +183,7 @@ class TestPrefetchWarmupLeakage:
         ],
     )
     def test_pinned_prefetch_accounting(self, engine, warmup, installs, hits):
-        events = simulate_memory(
+        events = memory_events(
             self.CORE, mem_trace(self.LINES), warmup, engine=engine
         )
         assert events.prefetch_installs == installs
@@ -201,12 +213,12 @@ class TestEnginesBitIdentical:
         )
         warmup_mem = warmup_iters * artifact.mem_per_iter
         warmup_br = warmup_iters * artifact.br_per_iter
-        assert simulate_memory(
+        assert memory_events(
             core, trace, warmup_mem, engine="reference"
-        ) == simulate_memory(core, trace, warmup_mem, engine="vectorized")
-        assert simulate_branches(
+        ) == memory_events(core, trace, warmup_mem, engine="vectorized")
+        assert branch_events(
             core, trace, warmup_br, engine="reference"
-        ) == simulate_branches(core, trace, warmup_br, engine="vectorized")
+        ) == branch_events(core, trace, warmup_br, engine="vectorized")
 
     def test_full_simulator_stats_agree(self):
         program = generate_test_case(dict(KNOBS, MEM_SIZE=128))
@@ -234,9 +246,9 @@ class TestEnginesBitIdentical:
             trace = branch_trace(pcs, outcomes)
             warmup = int(rng.integers(0, n + 2))
             for core in (SMALL_CORE, LARGE_CORE):
-                assert simulate_branches(
+                assert branch_events(
                     core, trace, warmup, engine="reference"
-                ) == simulate_branches(
+                ) == branch_events(
                     core, trace, warmup, engine="vectorized"
                 )
 
@@ -249,9 +261,9 @@ class TestEnginesBitIdentical:
         trace = mem_trace(lines)
         for warmup in (0, 7, 333, len(lines) - 1):
             for core in (SMALL_CORE, TestPrefetchWarmupLeakage.CORE):
-                assert simulate_memory(
+                assert memory_events(
                     core, trace, warmup, engine="reference"
-                ) == simulate_memory(
+                ) == memory_events(
                     core, trace, warmup, engine="vectorized"
                 )
 
@@ -263,9 +275,9 @@ class TestEnginesBitIdentical:
         stores = rng.random(300) < 0.3
         trace = mem_trace(lines.tolist(), stores=stores.tolist())
         for warmup in (0, 100):
-            assert simulate_memory(
+            assert memory_events(
                 LARGE_CORE, trace, warmup, engine="reference"
-            ) == simulate_memory(
+            ) == memory_events(
                 LARGE_CORE, trace, warmup, engine="vectorized"
             )
 
@@ -276,11 +288,11 @@ class TestEngineMemoization:
         artifact = TraceArtifact.build(program, 4_000)
         warmup, measure = artifact.schedule(SMALL_CORE, 0.2)
         for engine in ENGINES:
-            artifact.memory_events(
-                SMALL_CORE, warmup, warmup + measure, engine=engine
+            artifact.memory_events_batch(
+                [SMALL_CORE], [warmup], [warmup + measure], engine=engine
             )
-            artifact.branch_events(
-                SMALL_CORE, warmup, warmup + measure, engine=engine
+            artifact.branch_events_batch(
+                [SMALL_CORE], [warmup], [warmup + measure], engine=engine
             )
         # Identical results, but kept under distinct engine-stamped keys
         # so persisted artifacts can never mix engine provenance.
@@ -341,7 +353,7 @@ class TestBranchEventKey:
             per_pc[pc] = k + 1
         trace = branch_trace(pcs, outcomes)
         results = {
-            name: simulate_branches(
+            name: branch_events(
                 replace(SMALL_CORE, name=name), trace, 0
             )
             for name in ("small", "small-bimodal", "small-tournament")
@@ -357,10 +369,11 @@ class TestEnginePathObservability:
         periodic = mem_trace([(16 * t) % 512 for t in range(32)] * 40)
         rng = np.random.default_rng(3)
         aperiodic = mem_trace(rng.integers(0, 4096, 400).tolist())
-        simulate_memory(SMALL_CORE, periodic, 10, engine="vectorized")
-        simulate_memory(SMALL_CORE, aperiodic, 10, engine="vectorized")
-        simulate_memory(SMALL_CORE, aperiodic, 10, engine="reference")
+        memory_events(SMALL_CORE, periodic, 10, engine="vectorized")
+        memory_events(SMALL_CORE, aperiodic, 10, engine="vectorized")
+        memory_events(SMALL_CORE, aperiodic, 10, engine="reference")
         counts = obs.counters("engine_path.")
+        assert counts["engine_path.memory.batch"] == 2
         assert counts["engine_path.memory.vectorized.periodic"] == 1
         assert counts["engine_path.memory.vectorized.aperiodic"] == 1
         assert counts["engine_path.memory.reference"] == 1
@@ -369,7 +382,7 @@ class TestEnginePathObservability:
     def test_tiny_aperiodic_trace_takes_straight_path(self):
         rng = np.random.default_rng(4)
         tiny = mem_trace(rng.integers(0, 4096, 40).tolist())
-        simulate_memory(SMALL_CORE, tiny, 0, engine="vectorized")
+        memory_events(SMALL_CORE, tiny, 0, engine="vectorized")
         counts = obs.counters("engine_path.")
         assert counts["engine_path.memory.vectorized.straight"] == 1
 
@@ -379,14 +392,16 @@ class TestEnginePathObservability:
             (rng.integers(0, 1 << 12, 200) * 4).tolist(),
             (rng.random(200) < 0.5).tolist(),
         )
-        simulate_branches(SMALL_CORE, trace, 0, engine="vectorized")
-        simulate_branches(SMALL_CORE, trace, 0, engine="reference")
+        branch_events(SMALL_CORE, trace, 0, engine="vectorized")
+        branch_events(SMALL_CORE, trace, 0, engine="reference")
         counts = obs.counters("engine_path.")
-        assert counts["engine_path.branch.vectorized.scan"] == 1
-        assert counts["engine_path.branch.reference"] == 1
+        assert counts == {
+            "engine_path.branch.batch": 1,
+            "engine_path.branch.reference": 1,
+        }
 
     def test_reset_clears(self):
-        simulate_branches(
+        branch_events(
             SMALL_CORE, branch_trace([4], [True]), 0, engine="reference"
         )
         assert obs.counters("engine_path.")
@@ -413,9 +428,9 @@ class TestTournamentAndBimodalAgreement:
             outcomes = (rng.random(n) < rng.random()).tolist()
             trace = branch_trace(pcs, outcomes)
             for warmup in (0, n // 3, n):
-                assert simulate_branches(
+                assert branch_events(
                     core, trace, warmup, engine="reference"
-                ) == simulate_branches(
+                ) == branch_events(
                     core, trace, warmup, engine="vectorized"
                 )
 
@@ -436,9 +451,9 @@ class TestAperiodicVectorizedAgreement:
             pcs = (rng.integers(0, 64, n) * 4).tolist()
             trace = mem_trace(lines, pcs=pcs, stores=stores)
             for warmup in (0, n // 4):
-                assert simulate_memory(
+                assert memory_events(
                     core, trace, warmup, engine="reference"
-                ) == simulate_memory(
+                ) == memory_events(
                     core, trace, warmup, engine="vectorized"
                 )
 
@@ -452,11 +467,11 @@ class TestAperiodicVectorizedAgreement:
         warmup, measure = artifact.schedule(SMALL_CORE, 0.2)
         trace = artifact.trace(warmup + measure, SMALL_CORE.l1d.line_bytes)
         obs.reset("engine_path.")
-        ref = simulate_memory(
+        ref = memory_events(
             SMALL_CORE, trace, warmup * artifact.mem_per_iter,
             engine="reference",
         )
-        vec = simulate_memory(
+        vec = memory_events(
             SMALL_CORE, trace, warmup * artifact.mem_per_iter,
             engine="vectorized",
         )
@@ -489,11 +504,12 @@ class TestBatchEntryPoints:
         batch = simulate_memory_batch(
             self.CORES, trace, warmups, engine="vectorized"
         )
-        singles = [
-            simulate_memory(core, trace, warmup, engine="reference")
-            for core, warmup in zip(self.CORES, warmups)
-        ]
-        assert batch == singles
+        for engine in ENGINES:
+            singles = [
+                memory_events(core, trace, warmup, engine=engine)
+                for core, warmup in zip(self.CORES, warmups)
+            ]
+            assert batch == singles, engine
 
     def test_simulate_branches_batch_matches_singles(self):
         rng = np.random.default_rng(31)
@@ -506,11 +522,12 @@ class TestBatchEntryPoints:
         batch = simulate_branches_batch(
             self.CORES, trace, warmups, engine="vectorized"
         )
-        singles = [
-            simulate_branches(core, trace, warmup, engine="reference")
-            for core, warmup in zip(self.CORES, warmups)
-        ]
-        assert batch == singles
+        for engine in ENGINES:
+            singles = [
+                branch_events(core, trace, warmup, engine=engine)
+                for core, warmup in zip(self.CORES, warmups)
+            ]
+            assert batch == singles, engine
 
     def test_batch_length_mismatch_rejected(self):
         trace = branch_trace([4], [True])
@@ -531,12 +548,13 @@ class TestBatchEntryPoints:
         iterations = [w + m for w, m in schedules]
         mem_batch = batched.memory_events_batch(cores, warmups, iterations)
         br_batch = batched.branch_events_batch(cores, warmups, iterations)
+        # The same cores as batches of one, on a second artifact.
         mem_single = [
-            single.memory_events(core, w, i)
+            single.memory_events_batch([core], [w], [i])[0]
             for core, w, i in zip(cores, warmups, iterations)
         ]
         br_single = [
-            single.branch_events(core, w, i)
+            single.branch_events_batch([core], [w], [i])[0]
             for core, w, i in zip(cores, warmups, iterations)
         ]
         assert mem_batch == mem_single
@@ -550,38 +568,38 @@ class TestBatchEntryPoints:
             dict(KNOBS, MEM_SIZE=mem_size), GenerationOptions(seed=8)
         )
         runs = {
-            mode: Simulator.run_many(
+            engine: Simulator.run_many(
                 self.CORES, program,
                 artifact_cache=TraceArtifactCache(),
-                config_batch=mode == "batched",
                 engine=engine,
             )
-            for mode, engine in (
-                ("batched", "vectorized"),
-                ("per-config", "vectorized"),
-                ("reference", "reference"),
-            )
+            for engine in ENGINES
         }
-        assert runs["batched"] == runs["per-config"] == runs["reference"]
+        batches_of_one = [
+            Simulator(core, TraceArtifactCache()).run(program)
+            for core in self.CORES
+        ]
+        assert runs["vectorized"] == batches_of_one == runs["reference"]
 
 
-class TestKernelCachePickling:
-    def test_kernel_cache_excluded_from_pickles(self):
-        trace = mem_trace([(16 * t) % 256 for t in range(300)])
-        simulate_memory_batch(
-            [SMALL_CORE, LARGE_CORE], trace, [0, 0], engine="vectorized"
+class TestBatchScratch:
+    def test_batch_calls_leave_trace_pickle_unchanged(self):
+        # Shared kernel columns live only for one batch call: neither the
+        # trace object nor its pickle (so no persisted artifact) gains
+        # anything.
+        program = generate_test_case(
+            dict(KNOBS, MEM_SIZE=2048), GenerationOptions(seed=8)
         )
-        assert trace._kernel_cache  # batching populated scratch
-        clone = pickle.loads(pickle.dumps(trace))
-        assert clone._kernel_cache == {}
-        assert np.array_equal(clone.mem_lines, trace.mem_lines)
-
-    def test_pre_batching_pickles_load(self):
-        # Artifacts persisted before the scratch field existed unpickle
-        # into traces with an empty (usable) cache.
-        trace = mem_trace([1, 2, 3])
-        state = trace.__getstate__()
-        assert "_kernel_cache" not in state
-        revived = ExpandedTrace.__new__(ExpandedTrace)
-        revived.__setstate__(state)
-        assert revived._kernel_cache == {}
+        artifact = TraceArtifact.build(program, 8_000)
+        warmup, measure = artifact.schedule(SMALL_CORE, 0.2)
+        trace = artifact.trace(warmup + measure, 64)
+        events_mod._trace_period(trace)  # the trace's own period memo
+        before = (pickle.dumps(trace), pickle.dumps(vars(trace)))
+        cores = TestBatchEntryPoints.CORES
+        simulate_memory_batch(
+            cores, trace, [warmup * artifact.mem_per_iter] * len(cores)
+        )
+        simulate_branches_batch(
+            cores, trace, [warmup * artifact.br_per_iter] * len(cores)
+        )
+        assert (pickle.dumps(trace), pickle.dumps(vars(trace))) == before

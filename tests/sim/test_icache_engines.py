@@ -1,10 +1,11 @@
 """Instruction-cache engines: closed form and batch vs the per-set loop.
 
-PR 7 adds icache events to the config-batched shared pass.  The
-reference per-set loop (:func:`cyclic_code_hits`) is the oracle; the
-closed form over the at-most-two distinct per-set line counts and the
-key-dedup batch entry point must both be bit-identical to it for every
-geometry, footprint and iteration count.
+Icache events ride the config-batched shared pass.  The reference
+per-set loop (:func:`cyclic_code_hits`) is the oracle; the closed form
+over the at-most-two distinct per-set line counts and the key-dedup
+batch entry point must both be bit-identical to it for every geometry,
+footprint and iteration count, and a batch of N cores must equal N
+batches of one.
 """
 
 from dataclasses import replace
@@ -20,7 +21,7 @@ from repro.sim import LARGE_CORE, SMALL_CORE
 from repro.sim.artifact import TraceArtifact
 from repro.sim.cache import cyclic_code_hits, cyclic_code_hits_closed
 from repro.sim.config import CacheGeometry
-from repro.sim.events import simulate_icache, simulate_icache_batch
+from repro.sim.events import simulate_icache_batch
 
 KNOBS = dict(ADD=5, MUL=1, FADDD=1, BEQ=1, LD=2, SD=1,
              REG_DIST=4, MEM_SIZE=16, B_PATTERN=0.3)
@@ -32,6 +33,14 @@ WARMUP_FRACTIONS = (0.0, 0.2, 1.0)
 _L1I_SIZES = [1024, 4 * 1024, 16 * 1024, 64 * 1024]
 _L2_SIZES = [32 * 1024, 256 * 1024, 1024 * 1024]
 _ASSOCS = [1, 2, 4, 8]
+
+
+def icache_events(core, code_bytes, iterations, engine=None):
+    """One core's icache events: a batch of one."""
+    [result] = simulate_icache_batch(
+        [core], code_bytes, [iterations], engine=engine
+    )
+    return result
 
 
 class TestClosedForm:
@@ -68,19 +77,21 @@ class TestCrossEngine:
             l1i=CacheGeometry(l1i_size, l1i_assoc, latency=2),
             l2=CacheGeometry(l2_size, l2_assoc, latency=12),
         )
-        reference = simulate_icache(
+        reference = icache_events(
             core, code_bytes, iterations, engine="reference"
         )
-        vectorized = simulate_icache(
+        vectorized = icache_events(
             core, code_bytes, iterations, engine="vectorized"
         )
-        [batch_vec] = simulate_icache_batch(
-            [core], code_bytes, [iterations], engine="vectorized"
+        # A duplicate-key batch dedups without changing either result.
+        batch_vec = simulate_icache_batch(
+            [core, core], code_bytes, [iterations] * 2, engine="vectorized"
         )
-        [batch_ref] = simulate_icache_batch(
-            [core], code_bytes, [iterations], engine="reference"
+        batch_ref = simulate_icache_batch(
+            [core, core], code_bytes, [iterations] * 2, engine="reference"
         )
-        assert reference == vectorized == batch_vec == batch_ref
+        assert batch_vec == batch_ref == [reference] * 2
+        assert reference == vectorized
 
     @pytest.mark.parametrize("warmup_fraction", WARMUP_FRACTIONS)
     def test_artifact_window_engines_agree(self, warmup_fraction):
@@ -92,11 +103,11 @@ class TestCrossEngine:
             artifact.schedule(core, warmup_fraction)[1] for core in cores
         ]
         singles_ref = [
-            simulate_icache(core, artifact.code_bytes, m, engine="reference")
+            icache_events(core, artifact.code_bytes, m, engine="reference")
             for core, m in zip(cores, iters)
         ]
         singles_vec = [
-            simulate_icache(core, artifact.code_bytes, m, engine="vectorized")
+            icache_events(core, artifact.code_bytes, m, engine="vectorized")
             for core, m in zip(cores, iters)
         ]
         batch = simulate_icache_batch(
@@ -148,7 +159,7 @@ class TestBatchEntryPoint:
         iters = [batched.schedule(core, 0.2)[1] for core in self.CORES]
         batch = batched.icache_events_batch(self.CORES, iters)
         singles = [
-            single.icache_events(core, m)
+            single.icache_events_batch([core], [m])[0]
             for core, m in zip(self.CORES, iters)
         ]
         assert batch == singles
@@ -156,10 +167,8 @@ class TestBatchEntryPoint:
 
     def test_paths_recorded(self):
         obs.reset("engine_path.")
-        simulate_icache(SMALL_CORE, 4096, 100, engine="reference")
-        simulate_icache(SMALL_CORE, 4096, 100, engine="vectorized")
-        simulate_icache_batch([SMALL_CORE], 4096, [100])
-        paths = obs.counters("engine_path.")
-        assert paths["engine_path.icache.reference"] == 1
-        assert paths["engine_path.icache.vectorized"] == 1
-        assert paths["engine_path.icache.batch"] == 1
+        icache_events(SMALL_CORE, 4096, 100, engine="reference")
+        icache_events(SMALL_CORE, 4096, 100, engine="vectorized")
+        simulate_icache_batch([SMALL_CORE, LARGE_CORE], 4096, [100, 100])
+        # One count per batch call, whatever its engine or size.
+        assert obs.counters("engine_path.") == {"engine_path.icache.batch": 3}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.codegen.wrapper import GenerationOptions, generate_test_case
 from repro.sim import LARGE_CORE, SMALL_CORE, Simulator
 from repro.sim.artifact import TraceArtifactCache
-from repro.sim.events import simulate_branches, simulate_memory
+from repro.sim.events import simulate_branches_batch, simulate_memory_batch
 from repro.sim.trace import ExpandedTrace
 from repro.tuning.knobs import (
     B_PATTERN_VALUES,
@@ -130,13 +130,15 @@ class TestSimulatorContracts:
         ]
         batched = Simulator.run_many(
             cores, program, instructions=3_000,
-            artifact_cache=TraceArtifactCache(), config_batch=True,
+            artifact_cache=TraceArtifactCache(),
         )
-        per_config = Simulator.run_many(
-            cores, program, instructions=3_000,
-            artifact_cache=TraceArtifactCache(), config_batch=False,
-        )
-        assert batched == per_config  # full SimStats equality
+        batches_of_one = [
+            Simulator(core, TraceArtifactCache()).run(
+                program, instructions=3_000
+            )
+            for core in cores
+        ]
+        assert batched == batches_of_one  # full SimStats equality
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 900),
            st.sampled_from(["small-tournament", "large-tournament",
@@ -151,9 +153,11 @@ class TestSimulatorContracts:
             rng.random(n) < rng.random(),
         )
         warmup = int(rng.integers(0, n + 2))
-        assert simulate_branches(
-            core, trace, warmup, engine="reference"
-        ) == simulate_branches(core, trace, warmup, engine="vectorized")
+        assert simulate_branches_batch(
+            [core], trace, [warmup], engine="reference"
+        ) == simulate_branches_batch(
+            [core], trace, [warmup], engine="vectorized"
+        )
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 700),
            st.sampled_from(["small", "large"]))
@@ -167,9 +171,11 @@ class TestSimulatorContracts:
             rng.random(n) < 0.3,
         )
         warmup = int(rng.integers(0, n + 2))
-        assert simulate_memory(
-            core, trace, warmup, engine="reference"
-        ) == simulate_memory(core, trace, warmup, engine="vectorized")
+        assert simulate_memory_batch(
+            [core], trace, [warmup], engine="reference"
+        ) == simulate_memory_batch(
+            [core], trace, [warmup], engine="vectorized"
+        )
 
     @given(fast_lattice_config)
     @settings(max_examples=10, deadline=None)

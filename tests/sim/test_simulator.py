@@ -5,6 +5,7 @@ import pytest
 from repro.codegen import generate_test_case
 from repro.codegen.wrapper import GenerationOptions
 from repro.sim import LARGE_CORE, SMALL_CORE, Simulator
+from repro.sim.artifact import MAX_MEASURE_ITERATIONS, MAX_WARMUP_ITERATIONS
 from repro.sim.stats import METRIC_KEYS
 
 
@@ -129,8 +130,8 @@ class TestAdaptiveWindow:
             _knobs(MEM_SIZE=2048, MEM_TEMP1=1, MEM_TEMP2=1)
         )
         stats = Simulator(SMALL_CORE).run(program, instructions=5_000)
-        assert stats.extra["warmup_iterations"] <= Simulator.MAX_WARMUP_ITERATIONS
-        assert stats.extra["iterations"] <= Simulator.MAX_MEASURE_ITERATIONS
+        assert stats.extra["warmup_iterations"] <= MAX_WARMUP_ITERATIONS
+        assert stats.extra["iterations"] <= MAX_MEASURE_ITERATIONS
 
 
 class TestCodeFootprint:
