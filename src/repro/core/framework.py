@@ -29,7 +29,6 @@ from repro.exec import (
     SerialBackend,
     backend_for,
     evaluate_configs,
-    evaluate_configs_stream,
     run_clone_jobs,
 )
 from repro.sim.artifact import (
@@ -171,18 +170,6 @@ class MicroGrad:
             knob_configs,
         )
 
-    def _evaluate_config_stream(self, knob_configs: list[dict]):
-        """Streaming twin of :meth:`_evaluate_config_batch`.
-
-        Yields per-config metrics in input order as the backend's
-        ``map_stream`` delivers chunks — the evaluator consumes this
-        when a caller asks for partial-epoch results (``on_result``).
-        """
-        yield from evaluate_configs_stream(
-            self.backend, self.platform, self._generation_options(),
-            knob_configs,
-        )
-
     def _cache_context(self) -> str:
         """Disk-cache identity: everything but the knob configuration.
 
@@ -218,14 +205,9 @@ class MicroGrad:
             self.knob_space,
             self._evaluate_config,
             batch_fn=self._evaluate_config_batch,
-            batch_stream_fn=self._evaluate_config_stream,
             disk_cache=self.disk_cache,
             cache_context=self._cache_context(),
-            group_fn=(
-                self._group_key
-                if getattr(self.platform, "supports_config_batch", False)
-                else None
-            ),
+            group_fn=self._group_key,
         )
 
     def _build_tuner(self, evaluator: Evaluator, loss, target_loss: float,

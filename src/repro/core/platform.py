@@ -20,7 +20,12 @@ from repro.sim.simulator import DEFAULT_INSTRUCTIONS, Simulator
 
 @runtime_checkable
 class EvaluationPlatform(Protocol):
-    """Anything that can execute a program and report metrics."""
+    """Anything that can execute a program and report metrics.
+
+    Platforms are picklable: execution backends ship whole platform
+    instances (plus a chunk of knob configurations) into worker
+    processes, where generation and evaluation both run.
+    """
 
     name: str
 
@@ -28,42 +33,31 @@ class EvaluationPlatform(Protocol):
         """Run ``program`` and return its metric dict."""
         ...
 
-    def evaluate_many(self, programs: list[Program]) -> list[dict[str, float]]:
-        """Run several programs, metrics in input order."""
+    def evaluate_group(
+        self, program: Program, count: int
+    ) -> list[dict[str, float]]:
+        """Metrics for ``count`` configs that all generate ``program``.
+
+        The platform decides what such a group costs: simulators serve
+        it from one shared pass, native execution runs every member.
+        """
         ...
 
 
-class BatchEvaluationMixin:
-    """Default ``evaluate_many``: evaluate in order, one at a time.
-
-    Platforms are picklable, so execution backends ship whole platform
-    instances (plus a chunk of programs) into worker processes and call
-    this there — generation and simulation both run worker-side.
-    """
-
-    def evaluate_many(self, programs: list[Program]) -> list[dict[str, float]]:
-        return [self.evaluate(program) for program in programs]
-
-
-class SimulationPlatformMixin(BatchEvaluationMixin):
+class SimulationPlatformMixin:
     """Shared evaluation shape for simulator-backed platforms.
 
     Subclasses set ``self.simulator``/``self.instructions`` in their
     constructor and override :meth:`_stats_metrics` to derive their
     metric dict from one :class:`~repro.sim.stats.SimStats`.  Because
     the metric derivation is a pure function of the stats, these
-    platforms can serve a whole group of equivalent evaluations from one
+    platforms serve a whole group of equivalent evaluations from one
     shared simulation pass (:meth:`evaluate_group`) with results
-    bit-identical to per-program :meth:`evaluate` calls.  Platforms
-    whose metrics are *not* stats-pure (e.g. wall-clock ``host_mips``
-    on :class:`NativeExecutionPlatform`) must not claim
-    ``supports_config_batch``.
+    bit-identical to per-program :meth:`evaluate` calls.
     """
 
     #: Evaluation accepts a prebuilt trace artifact (composite sharing).
     accepts_artifact = True
-    #: Equivalent evaluations may be collapsed into one shared pass.
-    supports_config_batch = True
 
     def _stats_metrics(self, stats) -> dict[str, float]:
         return stats.metrics()
@@ -188,7 +182,7 @@ class VoltageDroopPlatform(SimulationPlatformMixin):
         return metrics
 
 
-class NativeExecutionPlatform(BatchEvaluationMixin):
+class NativeExecutionPlatform:
     """Functional-execution platform (the "native hardware" role).
 
     Architecturally executes the test case with the ISA interpreter and
@@ -236,8 +230,15 @@ class NativeExecutionPlatform(BatchEvaluationMixin):
             metrics[group] = group_counts.get(group, 0) / total
         return metrics
 
+    def evaluate_group(
+        self, program: Program, count: int
+    ) -> list[dict[str, float]]:
+        """Run ``program`` once per member: ``host_mips`` is a
+        wall-clock measurement, so no member may share another's."""
+        return [self.evaluate(program) for _ in range(count)]
 
-class CompositePlatform(BatchEvaluationMixin):
+
+class CompositePlatform:
     """Merge the metric dicts of several platforms (later ones win ties).
 
     Members that simulate (``accepts_artifact``) receive a shared
@@ -252,20 +253,15 @@ class CompositePlatform(BatchEvaluationMixin):
         self.platforms = list(platforms)
         self.name = "+".join(p.name for p in platforms)
 
-    @property
-    def supports_config_batch(self) -> bool:
-        """Grouped evaluation is safe only if every member supports it.
-
-        One wall-clock-dependent member (e.g. native execution) makes a
-        collapsed group observably different from per-program calls, so
-        the composite only claims the fast path when all members do.
-        """
-        return all(
-            getattr(p, "supports_config_batch", False) for p in self.platforms
-        )
-
     def evaluate(self, program: Program) -> dict[str, float]:
-        merged: dict[str, float] = {}
+        return self.evaluate_group(program, 1)[0]
+
+    def evaluate_group(
+        self, program: Program, count: int
+    ) -> list[dict[str, float]]:
+        """Each member serves the whole group its own way; simulating
+        members share one artifact per instruction budget."""
+        merged: list[dict[str, float]] = [{} for _ in range(count)]
         artifacts: dict[int, TraceArtifact] = {}
         for platform in self.platforms:
             if getattr(platform, "accepts_artifact", False):
@@ -274,27 +270,11 @@ class CompositePlatform(BatchEvaluationMixin):
                 if artifact is None:
                     artifact = artifact_for(program, budget)
                     artifacts[budget] = artifact
-                merged.update(platform.evaluate(program, artifact=artifact))
+                group = platform.evaluate_group(
+                    program, count, artifact=artifact
+                )
             else:
-                merged.update(platform.evaluate(program))
-        return merged
-
-    def evaluate_group(
-        self, program: Program, count: int
-    ) -> list[dict[str, float]]:
-        """Grouped :meth:`evaluate`: each member serves the whole group
-        from one shared pass, artifacts shared per budget as usual.
-        Only valid when :attr:`supports_config_batch` is true (every
-        member is then simulator-backed and accepts an artifact)."""
-        merged: list[dict[str, float]] = [{} for _ in range(count)]
-        artifacts: dict[int, TraceArtifact] = {}
-        for platform in self.platforms:
-            budget = platform.instructions
-            artifact = artifacts.get(budget)
-            if artifact is None:
-                artifact = artifact_for(program, budget)
-                artifacts[budget] = artifact
-            group = platform.evaluate_group(program, count, artifact=artifact)
+                group = platform.evaluate_group(program, count)
             for slot, metrics in zip(merged, group):
                 slot.update(metrics)
         return merged

@@ -19,14 +19,13 @@ whose cluster the session joins:
   into the shared fair scheduler alongside every other tenant.
 
 Either way the contract is the same as every other backend: ``map(fn,
-items)`` in, ordered results out, bit-identical to serial execution;
-``map_stream`` yields the same results incrementally as each lands.
+items)`` in, ordered results out, bit-identical to serial execution.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from repro.dist.client import ClientSession
 from repro.dist.coordinator import Coordinator
@@ -274,44 +273,39 @@ class DistributedBackend(CacheSettingsMixin):
     # -- execution ------------------------------------------------------
 
     def map(self, fn: Callable, items: Sequence) -> list:
-        """Apply ``fn`` to every item via the cluster, in input order."""
-        return list(self.map_stream(fn, items))
+        """Apply ``fn`` to every item via the cluster, in input order.
 
-    def map_stream(self, fn: Callable, items: Sequence) -> Iterator:
-        """Yield ``fn(item)`` results in input order, as they resolve.
-
-        Identical results to :meth:`map`, but result ``i`` is yielded
-        as soon as jobs ``0..i`` have resolved — a tuner consuming the
-        stream sees early candidates while late ones still run.
+        Outcomes are drained in input order as they land, so the first
+        failed job (in input order) raises at once instead of after the
+        whole batch has run.
         """
         items = list(items)
         if not items:
-            return
+            return []
         session = self._ensure_session()
         if session is None:
-            for item in items:
-                yield fn(item)
-            return
+            return [fn(item) for item in items]
         tags = [
             session.submit(dumps_payload((fn, item))) for item in items
         ]
         try:
+            results: list = []
             landed: dict[int, tuple[str, object]] = {}
-            cursor = 0
             for tag, outcome in session.as_completed(
                 tags, worker_grace=self.worker_grace
             ):
                 landed[tag] = outcome
-                while cursor < len(tags) and tags[cursor] in landed:
-                    status, value = landed.pop(tags[cursor])
+                while (len(results) < len(tags)
+                       and tags[len(results)] in landed):
+                    status, value = landed.pop(tags[len(results)])
                     if status != "ok":
                         raise RuntimeError(
                             f"distributed job failed:\n{value}"
                         )
-                    yield loads_payload(value)
-                    cursor += 1
+                    results.append(loads_payload(value))
+            return results
         finally:
             # Every batch ends here: forget its consumed outcomes, and
-            # for abandoned streams and failures, tell the cluster to
-            # drop whatever it still holds of the batch.
+            # after a failure, tell the cluster to drop whatever it
+            # still holds of the batch.
             session.cancel(tags)

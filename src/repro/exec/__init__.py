@@ -3,10 +3,13 @@
 The tuning stack above this package is backend-agnostic — tuners hand the
 :class:`~repro.tuning.evaluator.Evaluator` a *batch* of candidate knob
 configurations per epoch, the evaluator dedups them, and whatever remains
-is dispatched here.  :func:`backend_for` picks between in-process serial
-execution, a thread pool, a ``concurrent.futures`` process pool and the
-distributed coordinator/worker service (:mod:`repro.dist`) from the
-``backend=``/``jobs=`` knobs of :class:`repro.core.config.MicroGradConfig`;
+is dispatched here: :func:`evaluate_configs` maps one group-aligned chunk
+job per worker, and each job hands every generation-equivalence group to
+the platform's ``evaluate_group``.  :func:`backend_for` picks between
+in-process serial execution, a thread pool, a ``concurrent.futures``
+process pool and the distributed coordinator/worker service
+(:mod:`repro.dist`) from the ``backend=``/``jobs=`` knobs of
+:class:`repro.core.config.MicroGradConfig`;
 :class:`DiskResultCache` persists finished evaluations across runs, and
 every backend carries the run's ``cache_dir`` so workers share the
 on-disk trace-artifact store.
@@ -21,11 +24,7 @@ from repro.exec.backend import (
     backend_for,
 )
 from repro.exec.cache import DiskResultCache
-from repro.exec.jobs import (
-    evaluate_configs,
-    evaluate_configs_stream,
-    run_clone_jobs,
-)
+from repro.exec.jobs import evaluate_configs, run_clone_jobs
 
 __all__ = [
     "ExecutionBackend",
@@ -36,6 +35,5 @@ __all__ = [
     "backend_for",
     "DiskResultCache",
     "evaluate_configs",
-    "evaluate_configs_stream",
     "run_clone_jobs",
 ]

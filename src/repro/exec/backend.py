@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Iterator, Protocol, Sequence, runtime_checkable
+from typing import Callable, Protocol, Sequence, runtime_checkable
 
 #: Recognized ``MicroGradConfig.backend`` spellings.
 BACKEND_NAMES = ("auto", "serial", "thread", "process", "dist")
@@ -77,20 +77,26 @@ class CacheSettingsMixin:
 
 @runtime_checkable
 class ExecutionBackend(Protocol):
-    """Anything that can map a function over items, preserving order."""
+    """Anything that can map a function over items, preserving order.
+
+    The chunk-planning members (``batch_group_min``, :meth:`chunk_hint`,
+    :meth:`artifact_store_spec`) come from :class:`CacheSettingsMixin`.
+    """
 
     name: str
     jobs: int
+    batch_group_min: int
 
     def map(self, fn: Callable, items: Sequence) -> list:
         """Apply ``fn`` to every item; results come back in input order."""
         ...
 
-    def map_stream(self, fn: Callable, items: Sequence) -> Iterator:
-        """Like :meth:`map`, but yield each result as soon as it (and
-        every earlier one) is available.  ``list(map_stream(fn, items))
-        == map(fn, items)`` on every backend; the difference is purely
-        *when* early results surface."""
+    def chunk_hint(self, n_items: int) -> int:
+        """How many chunks an ``n_items`` batch should split into."""
+        ...
+
+    def artifact_store_spec(self) -> tuple[str, int | None] | None:
+        """(store root, max entries) for workers, or ``None`` when off."""
         ...
 
     def close(self) -> None:
@@ -111,10 +117,6 @@ class SerialBackend(CacheSettingsMixin):
 
     def map(self, fn: Callable, items: Sequence) -> list:
         return [fn(item) for item in items]
-
-    def map_stream(self, fn: Callable, items: Sequence) -> Iterator:
-        for item in items:
-            yield fn(item)
 
     def close(self) -> None:  # nothing to release
         pass
@@ -151,17 +153,6 @@ class ThreadBackend(CacheSettingsMixin):
         if len(items) <= 1:
             return [fn(item) for item in items]
         return list(self._ensure_pool().map(fn, items))
-
-    def map_stream(self, fn: Callable, items: Sequence) -> Iterator:
-        items = list(items)
-        if len(items) <= 1:
-            for item in items:
-                yield fn(item)
-            return
-        pool = self._ensure_pool()
-        futures = [pool.submit(fn, item) for item in items]
-        for future in futures:
-            yield future.result()
 
     def close(self) -> None:
         if self._pool is not None:
@@ -220,34 +211,6 @@ class ProcessPoolBackend(CacheSettingsMixin):
             # not lose this batch.
             self.close()
             return [fn(item) for item in items]
-
-    def map_stream(self, fn: Callable, items: Sequence) -> Iterator:
-        items = list(items)
-        pool = self._ensure_pool() if len(items) > 1 else None
-        if pool is None:
-            for item in items:
-                yield fn(item)
-            return
-        try:
-            futures = [pool.submit(fn, item) for item in items]
-        except BrokenProcessPool:
-            # The pool broke while we were still submitting: same
-            # serial degradation as map(), nothing yielded yet.
-            self.close()
-            for item in items:
-                yield fn(item)
-            return
-        for index, future in enumerate(futures):
-            try:
-                yield future.result()
-            except BrokenProcessPool:
-                # A worker died mid-stream.  Results already yielded
-                # were fine; finish the remainder in-process (same
-                # degradation map() applies to the whole batch).
-                self.close()
-                for item in items[index:]:
-                    yield fn(item)
-                return
 
     def close(self) -> None:
         if self._pool is not None:
@@ -374,23 +337,6 @@ def backend_for(
     return factory(jobs, cache, dist)
 
 
-def chunk_evenly(items: Sequence, chunks: int) -> list[list]:
-    """Split ``items`` into at most ``chunks`` contiguous, even pieces.
-
-    Order is preserved under concatenation; no chunk is empty.
-    """
-    items = list(items)
-    chunks = max(1, min(chunks, len(items)))
-    size, extra = divmod(len(items), chunks)
-    out = []
-    start = 0
-    for i in range(chunks):
-        end = start + size + (1 if i < extra else 0)
-        out.append(items[start:end])
-        start = end
-    return out
-
-
 def chunk_on_groups(
     items: Sequence, chunks: int, keys: Sequence, min_chunk: int = 1
 ) -> list[list]:
@@ -405,8 +351,8 @@ def chunk_on_groups(
     layout forces it — this is a packing hint, not a guarantee).
 
     Order is preserved under concatenation; no chunk is empty.  With
-    all-distinct keys and ``min_chunk=1`` this degenerates to
-    :func:`chunk_evenly`-style behavior.
+    all-distinct keys and ``min_chunk=1`` this degenerates to even
+    chunking: sizes differ by at most one.
     """
     items = list(items)
     keys = list(keys)

@@ -5,9 +5,11 @@ MicroGrad run, and the knob lattice is discrete — re-runs, seed sweeps
 and tuner comparisons revisit the same (core, instruction budget, knob
 configuration) points constantly.  This cache persists each evaluated
 point as one small JSON file so repeated runs skip the simulator
-entirely.  Files are written atomically (temp + rename), so concurrent
-worker processes sharing a cache directory can only ever race to write
-identical content.
+entirely.  Files are written through the shared
+:class:`~repro.diskstore.LruDirectoryStore`: atomically (temp + rename),
+so concurrent worker processes sharing a cache directory can only ever
+race to write identical content, and best-effort, so a cache directory
+that vanishes or turns read-only mid-run never fails the evaluation.
 
 Two guards keep long campaigns healthy:
 
@@ -27,17 +29,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 
 from repro import obs
+from repro.diskstore import LruDirectoryStore
 
 
 def _canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-class DiskResultCache:
+class DiskResultCache(LruDirectoryStore):
     """JSON file-per-entry cache keyed by (context, knob configuration).
 
     ``context`` identifies everything *besides* the knob configuration
@@ -54,34 +56,22 @@ class DiskResultCache:
             entry; a stamped entry with a different schema is a miss.
     """
 
+    _suffix = ".json"
+    _evictions_metric = "cache.result.evictions"
+
     def __init__(
         self,
         root: str | Path,
         max_entries: int | None = None,
         schema: str | None = None,
     ):
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1 (or None)")
         self.root = Path(root)
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-        except (FileExistsError, NotADirectoryError) as exc:
-            raise ValueError(
-                f"cache_dir {str(self.root)!r} exists and is not a directory"
-            ) from exc
-        self.max_entries = max_entries
+        self._init_store(
+            self.root, max_entries,
+            f"cache_dir {str(self.root)!r} exists and is not a directory",
+        )
         self.schema = schema
         self._memory: dict[str, dict[str, float]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        # Compact every few writes, not every write: a glob per put is
-        # O(entries), so the interval amortizes it while bounding the
-        # overshoot to max_entries + interval.
-        self._compact_interval = (
-            min(64, max(1, max_entries // 8)) if max_entries else 0
-        )
-        self._puts_since_compact = 0
 
     def digest(self, context: str, config_key: tuple) -> str:
         """Stable content hash of one (context, configuration) point."""
@@ -99,10 +89,7 @@ class DiskResultCache:
         if self.max_entries is not None:
             # Keep recency honest for hits served from memory too,
             # or compaction would evict the hottest entries first.
-            try:
-                os.utime(self._path(digest))
-            except OSError:
-                pass
+            self._touch(self._path(digest))
         return dict(self._memory[digest])
 
     def _read_entry(self, digest: str) -> dict[str, float] | None:
@@ -122,11 +109,7 @@ class DiskResultCache:
             self.misses += 1
             obs.inc("cache.result.misses")
             return None
-        try:
-            # Disk hit: refresh recency so LRU compaction spares it.
-            os.utime(path)
-        except OSError:
-            pass
+        self._touch(path)
         self._memory[digest] = metrics
         self.hits += 1
         obs.inc("cache.result.hits")
@@ -178,7 +161,11 @@ class DiskResultCache:
 
     def put(self, context: str, config_key: tuple,
             metrics: dict[str, float]) -> None:
-        """Persist one evaluation result (atomic, last writer wins)."""
+        """Persist one evaluation result (atomic, last writer wins).
+
+        The result is served from memory from here on even when the
+        disk write is dropped.
+        """
         digest = self.digest(context, config_key)
         self._memory[digest] = dict(metrics)
         entry = {
@@ -188,54 +175,10 @@ class DiskResultCache:
         }
         if self.schema is not None:
             entry["schema"] = self.schema
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(_canonical_json(entry))
-            os.replace(tmp, self._path(digest))
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return
-        if self.max_entries is not None:
-            self._puts_since_compact += 1
-            if self._puts_since_compact >= self._compact_interval:
-                self._puts_since_compact = 0
-                self.compact()
+        payload = _canonical_json(entry).encode()
+        self._publish(self._path(digest), lambda handle: handle.write(payload))
 
-    def compact(self) -> int:
-        """Evict least-recently-used entries beyond ``max_entries``.
-
-        Returns:
-            Number of entries removed (0 when unbounded or under cap).
-        """
-        if self.max_entries is None:
-            return 0
-        entries = []
-        for path in self.root.glob("*.json"):
-            try:
-                entries.append((path.stat().st_mtime, path))
-            except OSError:
-                continue
-        excess = len(entries) - self.max_entries
-        if excess <= 0:
-            return 0
-        entries.sort(key=lambda pair: pair[0])
-        removed = 0
-        for _, path in entries[:excess]:
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            # Drop the promoted copy too, so an evicted point is really
-            # gone rather than resurrected from process memory.
-            self._memory.pop(path.stem, None)
-            removed += 1
-        self.evictions += removed
-        obs.inc("cache.result.evictions", removed)
-        return removed
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*.json"))
+    def _evicted(self, path: Path) -> None:
+        # Drop the promoted copy too, so an evicted point is really
+        # gone rather than resurrected from process memory.
+        self._memory.pop(path.stem, None)

@@ -5,6 +5,12 @@ Worker processes receive module-level functions plus plain-data arguments
 generation **and** simulation run inside the worker — the parent process
 only ships knob dictionaries out and metric dictionaries back.
 
+Every evaluation batch takes one route: :func:`evaluate_configs` splits
+it into group-aligned chunks, ``backend.map`` runs one
+:func:`_evaluate_chunk` per chunk, and each chunk generates one program
+per generation-equivalence group and hands it to
+``platform.evaluate_group`` — the platform decides what a group costs.
+
 Every chunk job additionally returns a :class:`~repro.obs.MetricsSnapshot`
 of the metrics it recorded (engine paths, cache hits, stage spans) so
 counters survive the process boundary: the caller folds each chunk's
@@ -16,7 +22,7 @@ merges foreign ones (process pools, distributed workers).
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro import obs
 from repro.codegen.wrapper import (
@@ -24,7 +30,8 @@ from repro.codegen.wrapper import (
     generate_test_case,
     generation_fingerprint,
 )
-from repro.exec.backend import ExecutionBackend, chunk_evenly, chunk_on_groups
+from repro.exec.backend import ExecutionBackend, chunk_on_groups
+from repro.sim.artifact import attach_artifact_store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.config import MicroGradConfig
@@ -32,57 +39,27 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.platform import EvaluationPlatform
 
 
-def _attach_store(store_spec: tuple[str, int | None] | None) -> None:
-    """Attach the shared on-disk trace-artifact store in this process.
-
-    Attach is idempotent, so repeated chunks in a reused worker pay
-    nothing.
-    """
-    if store_spec is not None:
-        from repro.sim.artifact import attach_artifact_store
-
-        attach_artifact_store(store_spec[0], max_entries=store_spec[1])
-
-
 def _evaluate_chunk(platform, options: GenerationOptions,
                     store_spec: tuple[str, int | None] | None,
                     configs: list[dict]):
-    """Generate and evaluate one contiguous chunk of configurations.
-
-    ``store_spec`` (the backend's ``artifact_store_spec()``) attaches the
-    shared on-disk trace-artifact store in whichever process the chunk
-    runs.
-
-    Returns ``(metrics_list, snapshot)`` — the per-config metrics plus
-    the chunk's metrics delta for the caller to merge.
-    """
-    _attach_store(store_spec)
-    with obs.collect() as scope, obs.span("exec.chunk"):
-        obs.inc("engine_path.evaluate.single", len(configs))
-        programs = [
-            generate_test_case(config, options) for config in configs
-        ]
-        results = platform.evaluate_many(programs)
-    return results, scope.snapshot()
-
-
-def _evaluate_chunk_grouped(platform, options: GenerationOptions,
-                            store_spec: tuple[str, int | None] | None,
-                            configs: list[dict]):
     """Generate and evaluate one chunk, collapsing equivalence groups.
 
     Configs with equal :func:`generation_fingerprint` provably generate
     the identical program, so each group is generated **once** and
-    dispatched through one config-batched shared simulation pass
-    (``platform.evaluate_group`` →
-    :meth:`~repro.sim.simulator.Simulator.run_group`); results fan back
-    out per config.  Grouping covers the whole chunk, not just adjacent
-    runs, so an unsorted GA population still collapses its clone
-    children.  Bit-identical to :func:`_evaluate_chunk`.
+    handed to ``platform.evaluate_group`` (simulators serve it from one
+    config-batched shared pass); results fan back out per config.
+    Grouping covers the whole chunk, not just adjacent runs, so an
+    unsorted GA population still collapses its clone children.
 
-    Returns ``(metrics_list, snapshot)`` like :func:`_evaluate_chunk`.
+    ``store_spec`` (the backend's ``artifact_store_spec()``) attaches the
+    shared on-disk trace-artifact store in whichever process the chunk
+    runs; attach is idempotent, so reused workers pay nothing.
+
+    Returns ``(metrics_list, snapshot)`` — the per-config metrics plus
+    the chunk's metrics delta for the caller to merge.
     """
-    _attach_store(store_spec)
+    if store_spec is not None:
+        attach_artifact_store(store_spec[0], max_entries=store_spec[1])
     with obs.collect() as scope, obs.span("exec.chunk"):
         obs.inc("engine_path.evaluate.batch")
         groups: dict[tuple, list[int]] = {}
@@ -101,35 +78,6 @@ def _evaluate_chunk_grouped(platform, options: GenerationOptions,
     return results, scope.snapshot()
 
 
-def _plan_chunks(
-    backend: ExecutionBackend,
-    platform: "EvaluationPlatform",
-    options: GenerationOptions,
-    configs: list[dict],
-):
-    """(chunks, job fn) for one evaluation batch.
-
-    Platforms that support config batching get group-aligned chunking
-    (``chunk_on_groups`` over generation fingerprints, chunk count from
-    the backend's ``chunk_hint``) and the grouped job; everything else
-    keeps the historical even chunking and per-config job.
-    """
-    spec = getattr(backend, "artifact_store_spec", lambda: None)()
-    if getattr(platform, "supports_config_batch", False):
-        keys = [generation_fingerprint(c, options) for c in configs]
-        hint = getattr(backend, "chunk_hint", None)
-        n_chunks = (
-            hint(len(configs)) if hint is not None else max(1, backend.jobs)
-        )
-        min_chunk = getattr(backend, "batch_group_min", 1)
-        chunks = chunk_on_groups(configs, n_chunks, keys, min_chunk=min_chunk)
-        job = partial(_evaluate_chunk_grouped, platform, options, spec)
-    else:
-        chunks = chunk_evenly(configs, backend.jobs)
-        job = partial(_evaluate_chunk, platform, options, spec)
-    return chunks, job
-
-
 def evaluate_configs(
     backend: ExecutionBackend,
     platform: "EvaluationPlatform",
@@ -138,48 +86,28 @@ def evaluate_configs(
 ) -> list[dict[str, float]]:
     """Evaluate knob configurations through ``backend``, preserving order.
 
-    Configurations are split into one contiguous chunk per worker so the
-    platform is pickled once per chunk, not once per configuration; each
-    worker generates its test cases and runs them via the platform's
-    :meth:`evaluate_many` — or, when the platform supports config
-    batching, one generation + one shared simulation pass per
-    equivalence group (see :func:`_evaluate_chunk_grouped`).
+    Configurations are split into contiguous chunks along
+    generation-fingerprint group boundaries (chunk count from the
+    backend's ``chunk_hint``, floored by its ``batch_group_min``), so
+    the platform is pickled once per chunk, not once per configuration,
+    and no equivalence group is sheared across two workers.  Each chunk
+    runs :func:`_evaluate_chunk`.
     """
     configs = list(configs)
     if not configs:
         return []
-    chunks, job = _plan_chunks(backend, platform, options, configs)
+    keys = [generation_fingerprint(c, options) for c in configs]
+    chunks = chunk_on_groups(
+        configs, backend.chunk_hint(len(configs)), keys,
+        min_chunk=backend.batch_group_min,
+    )
+    job = partial(_evaluate_chunk, platform, options,
+                  backend.artifact_store_spec())
     results: list[dict[str, float]] = []
     for chunk_metrics, snapshot in backend.map(job, chunks):
         obs.merge_remote(snapshot)
         results.extend(chunk_metrics)
     return results
-
-
-def evaluate_configs_stream(
-    backend: ExecutionBackend,
-    platform: "EvaluationPlatform",
-    options: GenerationOptions,
-    configs: Sequence[dict],
-) -> Iterator[dict[str, float]]:
-    """Yield per-config metrics in input order, as chunks complete.
-
-    Same chunking, same results and same order as
-    :func:`evaluate_configs`; the difference is that each chunk's
-    metrics surface as soon as that chunk (and every earlier one) is
-    done — partial-epoch results for streaming consumers.  Backends
-    without ``map_stream`` (externally supplied ones) fall back to the
-    batch path.
-    """
-    configs = list(configs)
-    if not configs:
-        return
-    chunks, job = _plan_chunks(backend, platform, options, configs)
-    stream = getattr(backend, "map_stream", None)
-    mapper = stream if stream is not None else backend.map
-    for chunk_metrics, snapshot in mapper(job, chunks):
-        obs.merge_remote(snapshot)
-        yield from chunk_metrics
 
 
 def _clone_job(job):

@@ -48,7 +48,8 @@ COUNTER_PREFIXES: dict[str, str] = {
                     "aperiodic,straight} per distinct memory key; "
                     "memory.reference, branch.reference per config) and "
                     "evaluation dispatches (repro.exec.jobs: "
-                    "evaluate.batch, evaluate.group, evaluate.single)",
+                    "evaluate.batch per chunk, evaluate.group per "
+                    "equivalence group)",
 }
 
 #: Last/max-value gauges (merge: max across workers).  None yet.

@@ -30,15 +30,15 @@ module-level :func:`artifact_for` uses a process-wide cache shared by
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
-import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from repro import obs
+from repro.diskstore import LruDirectoryStore
 from repro.isa.instructions import InstrClass
 from repro.isa.program import Program
 from repro.sim import events
@@ -404,7 +404,7 @@ class TraceArtifact:
         )
 
 
-class DiskArtifactStore:
+class DiskArtifactStore(LruDirectoryStore):
     """Shared on-disk store of :class:`TraceArtifact` pickles.
 
     Worker processes (process pools, distributed workers, repeated CLI
@@ -417,9 +417,10 @@ class DiskArtifactStore:
     The schema directory stamps every entry with the trace-artifact
     semantics that produced it; after a semantics bump, old entries are
     simply never looked at (and compaction of the active schema keeps
-    the store bounded).  Writes are atomic (temp + rename), so two
-    processes racing to store the same fingerprint can only ever publish
-    equivalent bytes — last writer wins, both entries are valid.
+    the store bounded).  Writes go through the shared
+    :class:`~repro.diskstore.LruDirectoryStore`: atomic (temp + rename),
+    so two processes racing to store the same fingerprint can only ever
+    publish equivalent bytes — last writer wins, both entries are valid.
 
     Args:
         root: store directory (created if missing).
@@ -430,6 +431,9 @@ class DiskArtifactStore:
             the running :data:`TRACE_SCHEMA`.
     """
 
+    _suffix = ".pkl"
+    _evictions_metric = "cache.artifact.evictions"
+
     def __init__(
         self,
         root: str | Path,
@@ -438,29 +442,15 @@ class DiskArtifactStore:
     ):
         self.root = Path(root)
         self.schema = schema or trace_schema_fingerprint()
-        self.dir = self.root / self.schema
-        try:
-            self.dir.mkdir(parents=True, exist_ok=True)
-        except (FileExistsError, NotADirectoryError) as exc:
-            raise ValueError(
-                f"artifact store root {str(self.root)!r} is not usable"
-            ) from exc
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._puts_since_compact = 0
+        self._init_store(
+            self.root / self.schema, None,
+            f"artifact store root {str(self.root)!r} is not usable",
+        )
         self.set_max_entries(max_entries)
 
     def set_max_entries(self, max_entries: int | None) -> None:
         """(Re)apply an entry cap, compacting immediately if needed."""
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1 (or None)")
-        self.max_entries = max_entries
-        # Same amortization as DiskResultCache: a glob per put is
-        # O(entries), so compact every few writes.
-        self._compact_interval = (
-            min(64, max(1, max_entries // 8)) if max_entries else 0
-        )
+        self._set_cap(max_entries)
         if max_entries is not None:
             self.compact()
 
@@ -489,66 +479,17 @@ class DiskArtifactStore:
             self.misses += 1
             obs.inc("cache.artifact.misses")
             return None
-        try:
-            # Hit: refresh recency so LRU compaction spares it.
-            os.utime(path)
-        except OSError:
-            pass
+        self._touch(path)
         self.hits += 1
         obs.inc("cache.artifact.hits")
         return artifact
 
     def put(self, artifact: TraceArtifact) -> None:
         """Persist one artifact (atomic; best-effort on full disks)."""
-        path = self._path(artifact.fingerprint, artifact.instructions)
-        try:
-            fd, tmp = tempfile.mkstemp(dir=self.dir, suffix=".tmp")
-        except OSError:
-            return
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(artifact, handle,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except Exception:
-            # Best-effort by design: full disks, unpicklable injected
-            # state, or a thread memoizing into the artifact mid-dump
-            # (dict-changed-size) must never fail the evaluation itself.
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return
-        if self.max_entries is not None:
-            self._puts_since_compact += 1
-            if self._puts_since_compact >= self._compact_interval:
-                self._puts_since_compact = 0
-                self.compact()
-
-    def compact(self) -> int:
-        """Evict least-recently-used entries beyond ``max_entries``."""
-        if self.max_entries is None:
-            return 0
-        entries = []
-        for path in self.dir.glob("*.pkl"):
-            try:
-                entries.append((path.stat().st_mtime, path))
-            except OSError:
-                continue
-        excess = len(entries) - self.max_entries
-        if excess <= 0:
-            return 0
-        entries.sort(key=lambda pair: pair[0])
-        removed = 0
-        for _, path in entries[:excess]:
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            removed += 1
-        self.evictions += removed
-        obs.inc("cache.artifact.evictions", removed)
-        return removed
+        self._publish(
+            self._path(artifact.fingerprint, artifact.instructions),
+            partial(pickle.dump, artifact, protocol=pickle.HIGHEST_PROTOCOL),
+        )
 
     def recent(self, limit: int = 8) -> list[TraceArtifact]:
         """The newest stored artifacts, most recent first.
@@ -561,15 +502,8 @@ class DiskArtifactStore:
         """
         if limit < 1:
             return []
-        entries = []
-        for path in self.dir.glob("*.pkl"):
-            try:
-                entries.append((path.stat().st_mtime, path))
-            except OSError:
-                continue
-        entries.sort(key=lambda pair: pair[0], reverse=True)
         artifacts: list[TraceArtifact] = []
-        for _, path in entries:
+        for _, path in self._entries(newest_first=True):
             if len(artifacts) >= limit:
                 break
             try:
@@ -579,9 +513,6 @@ class DiskArtifactStore:
             if isinstance(artifact, TraceArtifact):
                 artifacts.append(artifact)
         return artifacts
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.dir.glob("*.pkl"))
 
 
 #: Process-wide store attached by :func:`attach_artifact_store`; every

@@ -19,7 +19,7 @@ bit-identical.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -31,11 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 EvaluateFn = Callable[[dict], dict[str, float]]
 BatchEvaluateFn = Callable[[list[dict]], list[dict[str, float]]]
-StreamEvaluateFn = Callable[[list[dict]], Iterator[dict[str, float]]]
-#: ``on_result(batch_index, metrics)`` — fired as results become
-#: available; cached entries fire immediately, computed ones as the
-#: execution backend streams them back.
-OnResultFn = Callable[[int, dict[str, float]], None]
 
 
 class Evaluator:
@@ -47,11 +42,9 @@ class Evaluator:
             framework to generation + simulation + power estimation).
         cache: memoize identical materialized configurations.
         batch_fn: list-of-configs -> list-of-metrics used by the batch
-            path; falls back to mapping ``evaluate_config`` serially.
-        batch_stream_fn: list-of-configs -> metrics *iterator* in the
-            same order; when present, batch calls carrying an
-            ``on_result`` callback consume it incrementally so partial
-            results surface while the rest of the epoch still runs.
+            path (the core framework wires it to
+            :func:`repro.exec.jobs.evaluate_configs`); falls back to
+            mapping ``evaluate_config`` serially.
         disk_cache: optional persistent result cache shared across runs.
         cache_context: identity of everything besides the knob config
             that determines metrics (core, instruction budget, ...);
@@ -62,7 +55,7 @@ class Evaluator:
             adjacent, letting the job layer keep whole equivalence
             groups in one chunk and serve each group from one shared
             simulation pass.  Reordering only changes dispatch order —
-            results, accounting and streaming semantics are unchanged.
+            results and accounting are unchanged.
     """
 
     def __init__(
@@ -71,7 +64,6 @@ class Evaluator:
         evaluate_config: EvaluateFn,
         cache: bool = True,
         batch_fn: BatchEvaluateFn | None = None,
-        batch_stream_fn: StreamEvaluateFn | None = None,
         disk_cache: "DiskResultCache | None" = None,
         cache_context: str = "",
         group_fn: Callable[[dict], object] | None = None,
@@ -79,7 +71,6 @@ class Evaluator:
         self.knob_space = knob_space
         self._evaluate_config = evaluate_config
         self._batch_fn = batch_fn
-        self._batch_stream_fn = batch_stream_fn
         self._cache_enabled = cache
         self._cache: dict[tuple, dict[str, float]] = {}
         self._disk_cache = disk_cache
@@ -90,43 +81,22 @@ class Evaluator:
 
     # -- cache plumbing -------------------------------------------------
 
-    def _lookup(self, key: tuple) -> dict[str, float] | None:
-        """Memo first, then the persistent cache (promoting on hit)."""
-        if not self._cache_enabled:
-            return None
-        if key in self._cache:
-            return self._cache[key]
-        if self._disk_cache is not None:
-            metrics = self._disk_cache.get(self._cache_context, key)
-            if metrics is not None:
-                self._cache[key] = metrics
-                return metrics
-        return None
-
     def _lookup_many(self, keys: list[tuple]) -> list[dict[str, float] | None]:
-        """Batched :meth:`_lookup`: one disk-cache directory pass.
+        """Memo first, then one persistent-cache directory pass.
 
         Memo hits are served in-process; the remainder probes the
         persistent cache through ``get_many`` (duplicate keys included —
         the disk cache promotes the first and serves the rest from
-        memory, exactly like sequential ``get`` calls).
+        memory, exactly like sequential ``get`` calls).  Disk hits are
+        promoted into the memo.
         """
-        if not self._cache_enabled:
-            return [None] * len(keys)
         results = [self._cache.get(key) for key in keys]
         if self._disk_cache is not None:
             missing = [i for i, hit in enumerate(results) if hit is None]
             if missing:
-                get_many = getattr(self._disk_cache, "get_many", None)
-                if get_many is not None:
-                    disk = get_many(
-                        self._cache_context, [keys[i] for i in missing]
-                    )
-                else:  # externally supplied cache without the batch API
-                    disk = [
-                        self._disk_cache.get(self._cache_context, keys[i])
-                        for i in missing
-                    ]
+                disk = self._disk_cache.get_many(
+                    self._cache_context, [keys[i] for i in missing]
+                )
                 for i, metrics in zip(missing, disk):
                     if metrics is not None:
                         self._cache[keys[i]] = metrics
@@ -134,8 +104,6 @@ class Evaluator:
         return results
 
     def _store(self, key: tuple, metrics: dict[str, float]) -> None:
-        if not self._cache_enabled:
-            return
         self._cache[key] = metrics
         if self._disk_cache is not None:
             self._disk_cache.put(self._cache_context, key, metrics)
@@ -153,16 +121,6 @@ class Evaluator:
             return results
         return [self._evaluate_config(config) for config in configs]
 
-    def _stream_batch(
-        self, configs: list[dict]
-    ) -> Iterable[dict[str, float]]:
-        """Metrics for ``configs`` in order, incrementally when possible."""
-        if not configs:
-            return []
-        if self._batch_stream_fn is not None:
-            return self._batch_stream_fn(configs)
-        return self._run_batch(configs)
-
     # -- single-config paths --------------------------------------------
 
     def evaluate(self, positions: np.ndarray) -> dict[str, float]:
@@ -176,9 +134,7 @@ class Evaluator:
     # -- batch paths ----------------------------------------------------
 
     def evaluate_batch(
-        self,
-        positions_batch: Sequence[np.ndarray],
-        on_result: OnResultFn | None = None,
+        self, positions_batch: Sequence[np.ndarray]
     ) -> list[dict[str, float]]:
         """Evaluate position vectors as one batch, results in input order.
 
@@ -186,31 +142,18 @@ class Evaluator:
         against the caches *and against itself* (two vectors rounding to
         the same lattice point cost one simulation), and dispatches only
         the unique remainder.
-
-        ``on_result(index, metrics)`` fires as results become available
-        — cache hits immediately, computed configurations as the
-        execution backend streams them back — so a tuner can react to
-        partial-epoch results before the whole batch lands.  Callback
-        order is availability order, not index order; the returned list
-        is always in input order.
         """
         configs = [self.knob_space.materialize(p) for p in positions_batch]
-        return self._evaluate_config_batch(configs, on_result=on_result)
+        return self._evaluate_config_batch(configs)
 
     def evaluate_raw_batch(
-        self,
-        configs: Sequence[dict],
-        on_result: OnResultFn | None = None,
+        self, configs: Sequence[dict]
     ) -> list[dict[str, float]]:
         """Batch-evaluate concrete knob configurations (same accounting)."""
-        return self._evaluate_config_batch(
-            [dict(c) for c in configs], on_result=on_result
-        )
+        return self._evaluate_config_batch([dict(c) for c in configs])
 
     def _evaluate_config_batch(
-        self,
-        configs: list[dict],
-        on_result: OnResultFn | None = None,
+        self, configs: list[dict]
     ) -> list[dict[str, float]]:
         self.requested_evaluations += len(configs)
         obs.inc("evaluator.requested", len(configs))
@@ -219,26 +162,13 @@ class Evaluator:
             # duplicates within the batch (matches the serial semantics).
             self.unique_evaluations += len(configs)
             obs.inc("evaluator.unique", len(configs))
-            if on_result is None:
-                return self._run_batch(configs)
-            metrics_batch = []
-            for metrics in self._stream_batch(configs):
-                on_result(len(metrics_batch), metrics)
-                metrics_batch.append(metrics)
-            if len(metrics_batch) != len(configs):
-                raise RuntimeError(
-                    f"batch stream returned {len(metrics_batch)} results "
-                    f"for {len(configs)} configs"
-                )
-            return metrics_batch
+            return self._run_batch(configs)
         results: list[dict[str, float] | None] = [None] * len(configs)
         pending: dict[tuple, list[int]] = {}
         keys = [canonical_config_key(config) for config in configs]
         for idx, (key, cached) in enumerate(zip(keys, self._lookup_many(keys))):
             if cached is not None:
                 results[idx] = cached
-                if on_result is not None:
-                    on_result(idx, cached)
             else:
                 pending.setdefault(key, []).append(idx)
 
@@ -247,7 +177,7 @@ class Evaluator:
             # generation-equivalence keys are adjacent (stable within a
             # group, groups in first-seen order).  The batch contract
             # never promised a dispatch order — reconciliation below
-            # maps stream order back to per-index order either way.
+            # maps dispatch order back to per-index order either way.
             group_rank: dict = {}
             ranked = []
             for key, indices in pending.items():
@@ -260,29 +190,11 @@ class Evaluator:
         unique_configs = [configs[indices[0]] for indices in pending.values()]
         self.unique_evaluations += len(unique_configs)
         obs.inc("evaluator.unique", len(unique_configs))
-        if on_result is None:
-            metrics_batch: Iterable = self._run_batch(unique_configs)
-        else:
-            metrics_batch = self._stream_batch(unique_configs)
-        stream = iter(metrics_batch)
-        exhausted = object()
-        for key, indices in pending.items():
-            metrics = next(stream, exhausted)
-            if metrics is exhausted:
-                raise RuntimeError(
-                    f"batch evaluation returned too few results for "
-                    f"{len(pending)} unique configs"
-                )
+        metrics_batch = self._run_batch(unique_configs)
+        for (key, indices), metrics in zip(pending.items(), metrics_batch):
             self._store(key, metrics)
             for idx in indices:
                 results[idx] = metrics
-                if on_result is not None:
-                    on_result(idx, metrics)
-        if next(stream, exhausted) is not exhausted:
-            raise RuntimeError(
-                f"batch evaluation returned more results than the "
-                f"{len(pending)} unique configs"
-            )
         return results  # type: ignore[return-value]
 
     def reset_counters(self) -> None:

@@ -26,6 +26,14 @@ def _boom(x):
     raise ValueError(f"bad item {x}")
 
 
+def _fail_first_else_sleep(x):
+    """Item 0 fails at once; every later item holds its worker 5 s."""
+    if x == 0:
+        raise ValueError("first item fails")
+    time.sleep(5)
+    return x
+
+
 class TestDistributedBackend:
     def test_maps_in_order(self):
         with DistributedBackend(spawn_workers=2) as backend:
@@ -50,6 +58,26 @@ class TestDistributedBackend:
         with DistributedBackend(spawn_workers=1) as backend:
             with pytest.raises(RuntimeError, match="bad item 7"):
                 backend.map(_boom, [7])
+
+    def test_failed_batch_leaves_nothing_behind(self):
+        with DistributedBackend(spawn_workers=2) as backend:
+            assert backend.map(_square, [1, 2]) == [1, 4]  # warm cluster
+            start = time.monotonic()
+            with pytest.raises(RuntimeError, match="first item fails"):
+                backend.map(_fail_first_else_sleep, list(range(4)))
+            # Fail-fast: the in-order drain raises on job 0 without
+            # waiting for the sleeping jobs behind it.
+            assert time.monotonic() - start < 2.0
+            # The session forgets the batch at once...
+            session = backend.client
+            with session._cv:
+                assert not session._outcomes and not session._pending
+            # ...and the coordinator drops it once the cancel lands.
+            coordinator = backend.coordinator
+            deadline = time.monotonic() + 10
+            while coordinator._jobs and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not coordinator._jobs  # nothing leaks
 
     def test_close_is_idempotent(self):
         backend = DistributedBackend(spawn_workers=1)

@@ -7,7 +7,7 @@ from repro.exec.backend import (
     SerialBackend,
     ThreadBackend,
     backend_for,
-    chunk_evenly,
+    chunk_on_groups,
     default_jobs,
 )
 
@@ -128,18 +128,26 @@ class TestBackendFor:
             backend_for("gpu", jobs=1)
 
 
+def _chunk_distinct(items, chunks):
+    """``chunk_on_groups`` with one group per item."""
+    return chunk_on_groups(items, chunks, [str(x) for x in items])
+
+
 class TestChunkEvenly:
+    """All-distinct keys: ``chunk_on_groups`` degenerates to even chunks."""
+
     def test_concatenation_preserves_order(self):
         items = list(range(11))
-        chunks = chunk_evenly(items, 3)
+        chunks = _chunk_distinct(items, 3)
         assert [x for chunk in chunks for x in chunk] == items
 
     def test_no_empty_chunks(self):
-        assert all(chunk_evenly([1, 2], 5))
+        assert all(_chunk_distinct([1, 2], 5))
 
     @pytest.mark.parametrize("n,chunks", [(10, 3), (7, 7), (1, 4), (12, 4)])
     def test_sizes_differ_by_at_most_one(self, n, chunks):
-        sizes = [len(c) for c in chunk_evenly(list(range(n)), chunks)]
+        sizes = [len(c) for c in _chunk_distinct(list(range(n)), chunks)]
+        assert len(sizes) == min(n, chunks)
         assert max(sizes) - min(sizes) <= 1
 
 
@@ -173,12 +181,8 @@ class TestChunkOnGroups:
         assert len(self._chunk(keys, 12, min_chunk=4)) <= 3
 
     def test_distinct_keys_degenerate_to_even_chunks(self):
-        from repro.exec.backend import chunk_evenly
-
         keys = [str(i) for i in range(10)]
-        groups = self._chunk(keys, 3)
-        even = chunk_evenly(list(range(10)), 3)
-        assert [len(c) for c in groups] == [len(c) for c in even]
+        assert [len(c) for c in self._chunk(keys, 3)] == [4, 3, 3]
 
     def test_single_group_yields_single_chunk(self):
         assert self._chunk(["x"] * 9, 4) == [list(range(9))]

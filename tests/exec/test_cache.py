@@ -50,6 +50,17 @@ class TestDiskResultCache:
         first["ipc"] = -1.0
         assert cache.get("ctx", KEY)["ipc"] == 1.25
 
+    def test_put_survives_a_vanished_cache_dir(self, tmp_path):
+        import shutil
+
+        cache = DiskResultCache(tmp_path / "cache")
+        shutil.rmtree(cache.root)
+        # Writes are best-effort: losing the directory mid-run must not
+        # fail the evaluation whose metrics are being stored...
+        cache.put("ctx", KEY, METRICS)
+        # ...and the value is still served, from memory.
+        assert cache.get("ctx", KEY) == METRICS
+
     def test_hit_and_miss_counters(self, tmp_path):
         cache = DiskResultCache(tmp_path)
         cache.get("ctx", KEY)

@@ -1,24 +1,28 @@
-"""Generation-batched evaluation: bit-identity with the per-config path.
+"""Generation-batched evaluation: bit-identity with per-config evaluation.
 
-The grouped fast path (generation fingerprints → one generation + one
-config-batched shared simulation pass per equivalence group) is a pure
-dispatch optimisation.  These tests pin the contract end to end: the
-job layer, a whole GA tuning run, and the engine-path counters that
-prove the batch actually served the work.
+The grouped job (generation fingerprints → one generation + one
+``platform.evaluate_group`` per equivalence group, which simulators
+serve from one config-batched shared pass) is a pure dispatch
+optimisation.  These tests pin the contract end to end against
+one-program-per-config oracles: the job layer, whole tuning runs, the
+engine-path counters that prove the batch actually served the work, and
+a platform whose metrics are not stats-pure.
 """
 
 import pytest
 
 from repro import obs
-from repro.codegen.wrapper import GenerationOptions
+from repro.codegen.wrapper import GenerationOptions, generate_test_case
 from repro.core.config import MicroGradConfig
 from repro.core.framework import MicroGrad
 from repro.core.platform import (
+    CompositePlatform,
+    NativeExecutionPlatform,
     PerformancePlatform,
     SimulationPlatformMixin,
 )
 from repro.exec.backend import ProcessPoolBackend, SerialBackend
-from repro.exec.jobs import evaluate_configs, evaluate_configs_stream
+from repro.exec.jobs import evaluate_configs
 from repro.sim.config import core_by_name
 
 MIX_KNOBS = ("ADD", "MUL", "FADDD", "FMULD", "BEQ", "BNE",
@@ -40,42 +44,26 @@ def _platform():
     return PerformancePlatform(core_by_name("small"), instructions=2_000)
 
 
-def _per_config(monkeypatch):
-    """Force the legacy per-config path for a comparison arm."""
-    monkeypatch.setattr(
-        SimulationPlatformMixin, "supports_config_batch", False
-    )
+def _one_run_per_member(self, program, count, artifact=None):
+    """Oracle ``evaluate_group``: one ``Simulator.run`` per config."""
+    return [self.evaluate(program, artifact=artifact) for _ in range(count)]
 
 
 class TestEvaluateConfigsGrouped:
-    def test_grouped_matches_per_config_bitwise(self, monkeypatch):
+    def test_grouped_matches_per_config_bitwise(self):
         options = GenerationOptions(loop_size=120)
         obs.reset("engine_path.")
         grouped = evaluate_configs(
             SerialBackend(), _platform(), options, CONFIGS
         )
         paths = obs.counters("engine_path.")
-        with monkeypatch.context() as m:
-            _per_config(m)
-            legacy = evaluate_configs(
-                SerialBackend(), _platform(), options, CONFIGS
-            )
-        assert grouped == legacy
+        platform = _platform()
+        oracle = [platform.evaluate(generate_test_case(c, options))
+                  for c in CONFIGS]
+        assert grouped == oracle
         # 6 configs collapse to 3 equivalence groups: {0, its clone 2,
         # its proportionally scaled twin 3}, {1, its clone 5}, {4}.
         assert paths.get("engine_path.evaluate.group") == 3
-        assert not paths.get("engine_path.evaluate.single")
-
-    def test_stream_matches_batch(self):
-        options = GenerationOptions(loop_size=120)
-        platform = _platform()
-        batch = evaluate_configs(
-            SerialBackend(), platform, options, CONFIGS
-        )
-        stream = list(evaluate_configs_stream(
-            SerialBackend(), platform, options, CONFIGS
-        ))
-        assert stream == batch
 
     def test_process_pool_matches_serial(self):
         options = GenerationOptions(loop_size=120)
@@ -110,7 +98,8 @@ class TestFullRunBitIdentity:
         batched = MicroGrad(self._config(tuner)).run()
         paths = obs.counters("engine_path.")
         with monkeypatch.context() as m:
-            _per_config(m)
+            m.setattr(SimulationPlatformMixin, "evaluate_group",
+                      _one_run_per_member)
             legacy = MicroGrad(self._config(tuner)).run()
 
         assert batched.metrics == legacy.metrics
@@ -122,7 +111,38 @@ class TestFullRunBitIdentity:
         assert batched.tuning.unique_evaluations == \
             legacy.tuning.unique_evaluations
         # The batched arm must have served every computed config through
-        # the grouped path — the per-config job never ran.
+        # the grouped job.
         assert paths.get("engine_path.evaluate.batch")
         assert paths.get("engine_path.evaluate.group")
-        assert not paths.get("engine_path.evaluate.single")
+
+
+class TestNativeThroughTheGroupedJob:
+    """Wall-clock metrics make native execution not stats-pure: its
+    ``evaluate_group`` must run the program once per member."""
+
+    def test_composite_with_native_runs_every_member(self, monkeypatch):
+        calls = []
+        native_evaluate = NativeExecutionPlatform.evaluate
+
+        def spy(self, program):
+            calls.append(program)
+            return native_evaluate(self, program)
+
+        monkeypatch.setattr(NativeExecutionPlatform, "evaluate", spy)
+        options = GenerationOptions(loop_size=120)
+        composite = CompositePlatform(
+            [_platform(), NativeExecutionPlatform(iterations=4)]
+        )
+        obs.reset("engine_path.")
+        results = evaluate_configs(
+            SerialBackend(), composite, options, CONFIGS
+        )
+        paths = obs.counters("engine_path.")
+
+        assert len(calls) == len(CONFIGS) == 6
+        assert paths.get("engine_path.evaluate.group") == 3
+        perf = _platform()
+        for config, metrics in zip(CONFIGS, results):
+            expected = perf.evaluate(generate_test_case(config, options))
+            assert {k: metrics[k] for k in expected} == expected
+            assert "host_mips" in metrics

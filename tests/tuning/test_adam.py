@@ -82,9 +82,9 @@ class TestWholeEpochBatches:
         sizes = []
         original = evaluator.evaluate_batch
 
-        def spy(batch, on_result=None):
+        def spy(batch):
             sizes.append(len(batch))
-            return original(batch, on_result=on_result)
+            return original(batch)
 
         evaluator.evaluate_batch = spy
         params = AdamParams(max_epochs=5, target_loss=-1.0, patience=99)

@@ -214,21 +214,6 @@ class TestGroupingPlanner:
         assert ev.requested_evaluations == 3
         assert ev.unique_evaluations == 2
 
-    def test_on_result_fires_for_every_index(self):
-        fired = {}
-
-        def on_result(idx, metrics):
-            fired[idx] = metrics
-
-        ev = Evaluator(_space(), lambda c: {"y": c["A"]},
-                       group_fn=self._group_by_a)
-        ev.evaluate(np.array([0.0, 0.0]))  # pre-populate one cache hit
-        batch = [np.array([1.0, 0.0]), np.array([0.0, 0.0]),
-                 np.array([2.0, 0.0]), np.array([1.0, 0.0])]
-        results = ev.evaluate_batch(batch, on_result=on_result)
-        assert sorted(fired) == [0, 1, 2, 3]
-        assert all(fired[i] == results[i] for i in fired)
-
     def test_single_pending_config_skips_planner(self):
         calls = []
 

@@ -147,9 +147,9 @@ class TestWholeEpochBatches:
         sizes = []
         original = evaluator.evaluate_batch
 
-        def spy(batch, on_result=None):
+        def spy(batch):
             sizes.append(len(batch))
-            return original(batch, on_result=on_result)
+            return original(batch)
 
         evaluator.evaluate_batch = spy
         result = GradientDescentTuner(
