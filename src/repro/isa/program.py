@@ -14,6 +14,7 @@ behaviour that varies per loop iteration is attached declaratively:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,16 +72,42 @@ class MemoryAccess:
 
     def indices(self, iterations: int) -> np.ndarray:
         """Distinct-address index for iterations ``0..iterations-1``."""
-        t = self.phase + self.step * np.arange(iterations, dtype=np.int64)
-        window = self.reuse_count * self.reuse_period
-        window_id = t // window
-        offset = t % window
-        return window_id * self.reuse_count + offset % self.reuse_count
+        return index_matrix([self], iterations)[:, 0]
 
     def addresses(self, iterations: int) -> np.ndarray:
         """Virtual address of each dynamic instance of the instruction."""
-        idx = self.indices(iterations)
-        return self.base + (idx * self.stride) % self.footprint
+        return address_matrix([self], iterations)[:, 0]
+
+
+def index_matrix(accesses: list[MemoryAccess], iterations: int) -> np.ndarray:
+    """Distinct-address indices of many accesses in one evaluation.
+
+    Returns an ``(iterations, len(accesses))`` int64 matrix whose column
+    ``j`` is the index walk ``index(t)`` of ``accesses[j]`` (see
+    :class:`MemoryAccess`).
+    """
+    phase, step, count, period = np.array(
+        [(a.phase, a.step, a.reuse_count, a.reuse_period) for a in accesses],
+        dtype=np.int64,
+    ).reshape(-1, 4).T
+    t = phase + step * np.arange(iterations, dtype=np.int64)[:, None]
+    window = count * period
+    return t // window * count + t % window % count
+
+
+def address_matrix(
+    accesses: list[MemoryAccess], iterations: int
+) -> np.ndarray:
+    """Virtual addresses of many accesses in one evaluation.
+
+    Returns an ``(iterations, len(accesses))`` int64 matrix: row ``t`` is
+    loop iteration ``t``, column ``j`` is
+    ``base + (index(t) * stride) % footprint`` for ``accesses[j]``.
+    """
+    base, stride, footprint = np.array(
+        [(a.base, a.stride, a.footprint) for a in accesses], dtype=np.int64
+    ).reshape(-1, 3).T
+    return base + index_matrix(accesses, iterations) * stride % footprint
 
 
 @dataclass
@@ -111,13 +138,43 @@ class BranchBehavior:
 
     def outcomes(self, iterations: int) -> np.ndarray:
         """Boolean taken/not-taken outcome per loop iteration."""
-        base = np.resize(np.asarray(self.pattern, dtype=bool), iterations)
-        if self.random_ratio == 0.0:
-            return base
-        rng = np.random.default_rng(self.seed)
-        randomized = rng.random(iterations) < self.random_ratio
-        random_outcome = rng.random(iterations) < self.taken_bias
-        return np.where(randomized, random_outcome, base)
+        return outcome_matrix([self], iterations)[:, 0]
+
+
+def outcome_matrix(
+    behaviors: list[BranchBehavior], iterations: int
+) -> np.ndarray:
+    """Taken/not-taken outcomes of many branches in one evaluation.
+
+    Returns an ``(iterations, len(behaviors))`` bool matrix: column ``j``
+    repeats ``behaviors[j].pattern`` cyclically, except where that
+    branch's randomization fires.  A randomized branch (``random_ratio >
+    0``) draws ``2 * iterations`` uniforms from ``default_rng(seed)``:
+    draw ``t`` below ``random_ratio`` randomizes iteration ``t``, whose
+    outcome is then draw ``iterations + t`` below ``taken_bias``.
+    """
+    if not behaviors:
+        return np.empty((iterations, 0), dtype=bool)
+    # Branch-major (one row per branch), so each branch draws into one
+    # contiguous row in place; returned transposed.
+    patterns: dict[tuple[bool, ...], int] = {}
+    rows = [patterns.setdefault(b.pattern, len(patterns)) for b in behaviors]
+    base = np.stack(
+        [np.resize(np.asarray(p, dtype=bool), iterations) for p in patterns]
+    )[rows]
+    # A branch with random_ratio 0 draws nothing: its zero row is never
+    # below its threshold of 0.0, so it keeps its base pattern.
+    draws = np.zeros((len(behaviors), 2 * iterations))
+    for row, b in zip(draws, behaviors):
+        if b.random_ratio != 0.0:
+            np.random.default_rng(b.seed).random(out=row)
+    thresholds = np.array(
+        [(b.random_ratio, b.taken_bias) for b in behaviors], dtype=np.float64
+    )
+    fired = (
+        draws.reshape(len(behaviors), 2, iterations) < thresholds[:, :, None]
+    )
+    return np.where(fired[:, 0], fired[:, 1], base).T
 
 
 @dataclass
@@ -153,11 +210,6 @@ class Instruction:
     @property
     def iclass(self) -> InstrClass:
         return self.idef.iclass
-
-    @property
-    def group(self) -> str:
-        """Reporting group (integer / float / branch / load / store)."""
-        return class_of_group(self.idef.iclass)
 
     def validate(self) -> None:
         """Check operand counts and per-class attachments.
@@ -211,19 +263,13 @@ class Program:
             instr.validate()
 
     def class_counts(self) -> dict[InstrClass, int]:
-        """Static instruction count per microarchitectural class."""
-        counts: dict[InstrClass, int] = {}
-        for instr in self.body:
-            counts[instr.iclass] = counts.get(instr.iclass, 0) + 1
-        return counts
+        """Static instruction count per microarchitectural class, in
+        order of first appearance."""
+        return dict(Counter(instr.idef.iclass for instr in self.body))
 
     def group_fractions(self) -> dict[str, float]:
         """Static distribution over reporting groups (sums to 1)."""
-        total = len(self.body)
-        fractions: dict[str, float] = {}
-        for instr in self.body:
-            fractions[instr.group] = fractions.get(instr.group, 0.0) + 1.0
-        return {g: c / total for g, c in fractions.items()}
+        return group_fractions(self.class_counts())
 
     def memory_instructions(self) -> list[Instruction]:
         """All loads and stores, in program order."""
@@ -232,3 +278,18 @@ class Program:
     def branch_instructions(self) -> list[Instruction]:
         """All conditional branches, in program order."""
         return [i for i in self.body if i.idef.is_branch]
+
+
+def group_fractions(class_counts: dict[InstrClass, int]) -> dict[str, float]:
+    """Distribution over reporting groups of per-class instruction counts.
+
+    Groups appear in the order their first class appears in
+    ``class_counts``, so counts in program order give groups in program
+    order.
+    """
+    total = sum(class_counts.values())
+    counts: dict[str, int] = {}
+    for iclass, n in class_counts.items():
+        group = class_of_group(iclass)
+        counts[group] = counts.get(group, 0) + n
+    return {g: n / total for g, n in counts.items()}

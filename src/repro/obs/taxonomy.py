@@ -61,12 +61,16 @@ SPANS: dict[str, str] = {
     "codegen": "knob configuration -> assembled program",
     "trace.build": "program validation + characterization (TraceArtifact."
                    "build); trace expansion and the dependency critical "
-                   "path run lazily, outside it",
+                   "path run later, under trace.expand and trace.depgraph",
+    "trace.expand": "one trace window expanded (TraceArtifact.trace memo "
+                    "miss)",
+    "trace.depgraph": "one dependency critical path computed "
+                      "(TraceArtifact.dep_cycles memo miss)",
     "sim.run_many": "one multi-config simulation sweep",
-    "events.memory": "config-batched memory event pass over one trace "
-                     "window (expands the window on first use)",
-    "events.branch": "config-batched branch event pass over one trace "
-                     "window (expands the window on first use)",
+    "events.memory": "config-batched memory event pass over one "
+                     "already-expanded trace window",
+    "events.branch": "config-batched branch event pass over one "
+                     "already-expanded trace window",
     "events.icache": "config-batched icache event pass",
     "interval.batch": "batched interval-model cycle computation",
     "exec.chunk": "one evaluation chunk in whichever process ran it",

@@ -40,7 +40,8 @@ from pathlib import Path
 from repro import obs
 from repro.diskstore import LruDirectoryStore
 from repro.isa.instructions import InstrClass
-from repro.isa.program import Program
+from repro.isa.program import Program, group_fractions
+from repro.isa.registers import REGISTER_NAMES, RegisterKind
 from repro.sim import events
 from repro.sim.config import CoreConfig
 from repro.sim.depgraph import critical_path_per_iteration
@@ -81,18 +82,17 @@ def program_fingerprint(program: Program) -> str:
     and dependency graphs, so they can share one
     :class:`TraceArtifact`.  The hash covers the full instruction stream
     (operands, addresses, declarative memory/branch behaviour) plus the
-    metadata keys the timing model consumes.
+    metadata keys the timing model consumes.  The value names on-disk
+    artifact-store entries, so the hashed bytes must never change.
     """
-    hasher = hashlib.sha256()
-    hasher.update(f"entry={program.entry_address};".encode())
     meta = program.metadata
-    hasher.update(
-        (
-            f"code_bytes={meta.get('code_bytes')};"
-            f"dep={meta.get('dependency_distance')};"
-            f"streams={len(meta.get('memory_streams') or [])};"
-        ).encode()
-    )
+    parts = [
+        f"entry={program.entry_address};"
+        f"code_bytes={meta.get('code_bytes')};"
+        f"dep={meta.get('dependency_distance')};"
+        f"streams={len(meta.get('memory_streams') or [])};"
+    ]
+    fp = RegisterKind.FP
     for instr in program.body:
         mem = instr.memory
         mem_sig = (
@@ -107,22 +107,25 @@ def program_fingerprint(program: Program) -> str:
             if br is not None
             else None
         )
-        hasher.update(
+        idef = instr.idef
+        parts.append(
             repr(
                 (
-                    instr.idef.mnemonic,
-                    instr.idef.latency,
-                    instr.iclass.value,
-                    tuple(r.name for r in instr.dests),
-                    tuple(r.name for r in instr.srcs),
+                    idef.mnemonic,
+                    idef.latency,
+                    idef.iclass.value,
+                    tuple([REGISTER_NAMES[r.kind is fp][r.index]
+                           for r in instr.dests]),
+                    tuple([REGISTER_NAMES[r.kind is fp][r.index]
+                           for r in instr.srcs]),
                     instr.immediate,
                     instr.address,
                     mem_sig,
                     br_sig,
                 )
-            ).encode()
+            )
         )
-    return hasher.hexdigest()[:32]
+    return hashlib.sha256("".join(parts).encode()).hexdigest()[:32]
 
 
 @dataclass
@@ -186,16 +189,17 @@ class TraceArtifact:
         program.validate()
         loop = len(program)
         meta = program.metadata
+        counts = program.class_counts()
         return cls(
             program=program,
             fingerprint=fingerprint or program_fingerprint(program),
             instructions=instructions,
             loop_size=loop,
             budget_iters=max(2, round(instructions / loop)),
-            mem_per_iter=len(program.memory_instructions()),
-            br_per_iter=len(program.branch_instructions()),
-            static_counts=program.class_counts(),
-            group_fractions=program.group_fractions(),
+            mem_per_iter=sum(n for c, n in counts.items() if c.is_memory),
+            br_per_iter=counts.get(InstrClass.BRANCH, 0),
+            static_counts=counts,
+            group_fractions=group_fractions(counts),
             code_bytes=meta.get("code_bytes", loop * 4),
             dependency_distance=float(meta.get("dependency_distance", 4)),
             parallel_streams=max(1, len(meta.get("memory_streams") or [])),
@@ -208,7 +212,8 @@ class TraceArtifact:
         key = (iterations, line_bytes)
         trace = self._traces.get(key)
         if trace is None:
-            trace = expand(self.program, iterations, line_bytes=line_bytes)
+            with obs.span("trace.expand"):
+                trace = expand(self.program, iterations, line_bytes=line_bytes)
             self._traces[key] = trace
         return trace
 
@@ -269,7 +274,8 @@ class TraceArtifact:
         key = (core.l1d.latency,)
         dep = self._dep.get(key)
         if dep is None:
-            dep = critical_path_per_iteration(self.program, core)
+            with obs.span("trace.depgraph"):
+                dep = critical_path_per_iteration(self.program, core)
             self._dep[key] = dep
         return dep
 
@@ -295,9 +301,11 @@ class TraceArtifact:
     ) -> list:
         """Fill ``memo`` for every core through one ``simulate`` batch
         per trace window (iterations, line size), each timed by the
-        (reusable) ``span``; return the results in core order.  Only
-        distinct keys missing from the memo are simulated, so memo
-        contents never depend on how cores were batched."""
+        (reusable) ``span``; return the results in core order.  The
+        window is expanded (or fetched) before the span opens, so the
+        span times event work only.  Only distinct keys missing from
+        the memo are simulated, so memo contents never depend on how
+        cores were batched."""
         engine = events.resolve_engine(engine)
         keys = [
             (engine,) + event_key(core) + (warmup, iters)
@@ -315,8 +323,8 @@ class TraceArtifact:
                 (iterations_list[i], cores[i].l1d.line_bytes), []
             ).append(i)
         for (iterations, line_bytes), slots in groups.items():
+            trace = self.trace(iterations, line_bytes)
             with span:
-                trace = self.trace(iterations, line_bytes)
                 batch = simulate(
                     [cores[i] for i in slots],
                     trace,

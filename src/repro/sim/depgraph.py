@@ -5,12 +5,19 @@ path length added per loop iteration in steady state, including loop-carried
 dependencies.  Unrolling the body a few iterations and taking the increment
 of the longest finish time converges to that bound because the dependence
 structure is periodic.
+
+The dynamic program runs over plain lists: each register gets a dense
+int id, looked up by ``2 * index + (kind is FP)`` (so ``x5`` and ``f5``
+stay apart without hashing a :class:`~repro.isa.registers.Register`),
+and each instruction becomes one ``(source ids, latency, destination
+ids)`` row.
 """
 
 from __future__ import annotations
 
 from repro.isa.instructions import InstrClass
 from repro.isa.program import Program
+from repro.isa.registers import RegisterKind
 from repro.sim.config import CoreConfig
 
 
@@ -37,25 +44,41 @@ def critical_path_per_iteration(
     body, honouring register dependencies (including loop-carried ones),
     and returns the increment between the last two iterations' completion
     times.
+
+    Raises:
+        ValueError: if ``unroll`` is below 1.
     """
+    if unroll < 1:
+        raise ValueError("unroll must be >= 1")
     if not program.body:
         return 0.0
-    last_write: dict = {}
-    totals: list[float] = []
-    finish_max = 0.0
+    fp = RegisterKind.FP
+    # Register key 2 * index + (kind is FP) -> dense id, by first use.
+    ids: dict[int, int] = {}
+    rows = [
+        (
+            [ids.setdefault(2 * r.index + (r.kind is fp), len(ids))
+             for r in instr.srcs],
+            instruction_latency(instr.idef.latency, instr.idef.iclass, core),
+            [ids.setdefault(2 * r.index + (r.kind is fp), len(ids))
+             for r in instr.dests],
+        )
+        for instr in program.body
+    ]
+    last_write = [0.0] * len(ids)
+    finish_max = previous = 0.0
     for _ in range(unroll):
-        for instr in program.body:
+        previous = finish_max
+        for srcs, latency, dests in rows:
             ready = 0.0
-            for src in instr.srcs:
-                ready = max(ready, last_write.get(src, 0.0))
-            finish = ready + instruction_latency(
-                instr.idef.latency, instr.iclass, core
-            )
-            for dst in instr.dests:
+            for src in srcs:
+                if last_write[src] > ready:
+                    ready = last_write[src]
+            finish = ready + latency
+            for dst in dests:
                 last_write[dst] = finish
             if finish > finish_max:
                 finish_max = finish
-        totals.append(finish_max)
-    if len(totals) < 2:
-        return totals[0]
-    return max(0.0, totals[-1] - totals[-2])
+    # With unroll == 1, previous is 0.0 and this is the one iteration's
+    # completion time.
+    return max(0.0, finish_max - previous)

@@ -4,8 +4,12 @@ Generated test cases are fixed loop bodies, so the dynamic trace is the
 static body repeated ``K`` iterations with per-iteration memory addresses
 and branch outcomes expanded from each instruction's declarative
 :class:`~repro.isa.program.MemoryAccess` / ``BranchBehavior``.  Expansion
-is vectorized with numpy: one array per static instruction, interleaved
-into program order.
+is one vectorized pass per event kind: every memory instruction's
+addresses come from one ``(K, M)`` evaluation
+(:func:`~repro.isa.program.address_matrix`) and every branch outcome
+from one ``(K, B)`` evaluation
+(:func:`~repro.isa.program.outcome_matrix`), flattened row-major into
+dynamic order.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.isa.instructions import InstrClass
-from repro.isa.program import Program
+from repro.isa.program import Program, address_matrix, outcome_matrix
 
 
 @dataclass
@@ -66,37 +70,30 @@ def expand(program: Program, iterations: int, line_bytes: int = 64) -> ExpandedT
         raise ValueError("iterations must be >= 1")
 
     mem_instrs = program.memory_instructions()
-    if mem_instrs:
-        # Shape (M, K) per-instruction address streams -> (K, M) -> flat.
-        addr_rows = [i.memory.addresses(iterations) for i in mem_instrs]
-        addrs = np.stack(addr_rows).T.reshape(-1)
-        pcs = np.tile(
-            np.asarray([i.address or 0 for i in mem_instrs], dtype=np.int64),
-            iterations,
-        )
-        stores = np.tile(
-            np.asarray(
-                [i.iclass is InstrClass.STORE for i in mem_instrs], dtype=bool
-            ),
-            iterations,
-        )
-        lines = addrs // line_bytes
-    else:
-        pcs = np.empty(0, dtype=np.int64)
-        lines = np.empty(0, dtype=np.int64)
-        stores = np.empty(0, dtype=bool)
+    # (K, M) address matrix, flattened row-major: iteration-major,
+    # program order within an iteration.
+    lines = address_matrix(
+        [i.memory for i in mem_instrs], iterations
+    ).reshape(-1) // line_bytes
+    pcs = np.tile(
+        np.asarray([i.address or 0 for i in mem_instrs], dtype=np.int64),
+        iterations,
+    )
+    stores = np.tile(
+        np.asarray(
+            [i.iclass is InstrClass.STORE for i in mem_instrs], dtype=bool
+        ),
+        iterations,
+    )
 
     br_instrs = program.branch_instructions()
-    if br_instrs:
-        outcome_rows = [i.branch.outcomes(iterations) for i in br_instrs]
-        outcomes = np.stack(outcome_rows).T.reshape(-1)
-        br_pcs = np.tile(
-            np.asarray([i.address or 0 for i in br_instrs], dtype=np.int64),
-            iterations,
-        )
-    else:
-        outcomes = np.empty(0, dtype=bool)
-        br_pcs = np.empty(0, dtype=np.int64)
+    outcomes = outcome_matrix(
+        [i.branch for i in br_instrs], iterations
+    ).reshape(-1)
+    br_pcs = np.tile(
+        np.asarray([i.address or 0 for i in br_instrs], dtype=np.int64),
+        iterations,
+    )
 
     static_counts = program.class_counts()
     class_counts = {c: n * iterations for c, n in static_counts.items()}

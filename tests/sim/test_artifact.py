@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro import obs
 from repro.codegen import generate_test_case
 from repro.sim import (
     LARGE_CORE,
@@ -207,6 +208,13 @@ class TestArtifactSharing:
         other = generate_test_case(dict(KNOBS, ADD=6))
         assert program_fingerprint(program) != program_fingerprint(other)
 
+    def test_fingerprint_value_is_pinned(self, program):
+        # On-disk artifact-store entries are named by this hash: a
+        # drifting value silently orphans every stored artifact.
+        assert program_fingerprint(program) == (
+            "5f7a355d089d0d14518c3a41ffcc8f55"
+        )
+
     def test_cache_hits_for_same_program_and_budget(self, program):
         cache = TraceArtifactCache(maxsize=4)
         first = cache.get_or_build(program, 8_000)
@@ -290,6 +298,32 @@ class TestArtifactSharing:
         with ThreadPoolExecutor(max_workers=8) as pool:
             assert sorted(pool.map(hammer, range(16))) == list(range(16))
         assert len(cache) <= 2
+
+
+class TestStage1Spans:
+    def test_memo_misses_record_stage1_spans_once(self, program):
+        # Two cores that differ only in L1D latency share one trace
+        # window but need two critical paths; a repeat call hits every
+        # memo and records neither span.
+        cores = [
+            SMALL_CORE,
+            replace(SMALL_CORE, l1d=replace(SMALL_CORE.l1d, latency=5)),
+        ]
+        cache = TraceArtifactCache(maxsize=2)
+        counts = []
+        for _ in range(2):
+            with obs.collect() as scope:
+                Simulator.run_many(cores, program, instructions=8_000,
+                                   artifact_cache=cache)
+            timers = scope.snapshot().timers
+            counts.append({
+                name: timers[name].count if name in timers else 0
+                for name in ("trace.expand", "trace.depgraph")
+            })
+        assert counts == [
+            {"trace.expand": 1, "trace.depgraph": 2},
+            {"trace.expand": 0, "trace.depgraph": 0},
+        ]
 
 
 class TestPickleStability:

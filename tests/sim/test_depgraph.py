@@ -48,6 +48,13 @@ class TestCriticalPath:
 
         assert critical_path_per_iteration(Program(), SMALL_CORE) == 0.0
 
+    @pytest.mark.parametrize("unroll", [0, -1])
+    def test_unroll_below_one_rejected(self, unroll):
+        with pytest.raises(ValueError, match="unroll must be >= 1"):
+            critical_path_per_iteration(
+                _chain_program(2), SMALL_CORE, unroll=unroll
+            )
+
     def test_steady_state_increment_stable(self):
         program = _chain_program(3, loop_size=80)
         cp4 = critical_path_per_iteration(program, SMALL_CORE, unroll=4)
