@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import MicroGradConfig
-from repro.core.platform import EvaluationPlatform
 from repro.sim.config import core_by_name
 from repro.tuning.knobs import KnobSpace
 from repro.tuning.loss import CloningLoss
@@ -170,11 +169,3 @@ class CloningUseCase:
                 continue
             positions.append(float(np.argmin(np.abs(values - value))))
         return np.asarray(positions)
-
-
-def evaluate_platform_targets(
-    platform: EvaluationPlatform, program
-) -> dict[str, float]:
-    """Characterize an arbitrary program on a platform (helper for
-    callers that bring their own reference binaries)."""
-    return platform.evaluate(program)

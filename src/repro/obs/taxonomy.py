@@ -77,20 +77,3 @@ SPANS: dict[str, str] = {
     "cache.result.probe": "result-cache disk probe (scandir pass)",
     "tuner.epoch": "one tuning epoch end to end",
 }
-
-
-def is_declared(kind: str, name: str) -> bool:
-    """True when ``name`` is a declared metric of ``kind``.
-
-    ``kind`` is ``"counter"``, ``"gauge"`` or ``"span"``.  Counters
-    additionally match the declared prefix families.
-    """
-    if kind == "counter":
-        return name in COUNTERS or any(
-            name.startswith(prefix) for prefix in COUNTER_PREFIXES
-        )
-    if kind == "gauge":
-        return name in GAUGES
-    if kind == "span":
-        return name in SPANS
-    raise ValueError(f"unknown metric kind {kind!r}")

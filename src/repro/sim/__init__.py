@@ -4,10 +4,12 @@ The paper evaluates generated test cases on the Gem5 O3 model with the
 Table II core configurations.  This package provides the cycle-approximate
 equivalent used by this reproduction:
 
-* set-associative LRU caches (L1I, L1D, unified L2, optional L2 stride
-  prefetcher on the Large core), simulated on the exact address trace the
-  generated loop produces;
-* a gshare branch predictor simulated on the exact outcome trace;
+* set-associative LRU data caches (L1D, unified L2, optional L2 stride
+  prefetcher on the Large core) and a DTLB, simulated on the exact
+  address trace the generated loop produces, plus a steady-state L1I
+  model of the loop's code;
+* a gshare, bimodal or tournament branch predictor, picked by core
+  name, simulated on the exact outcome trace;
 * a register dependency-graph critical-path analysis of the loop body;
 * an interval-analysis timing model combining front-end width, functional
   unit contention, window occupancy, dependency chains and miss events
@@ -22,8 +24,7 @@ core configs against one artifact.
 """
 
 from repro.sim.config import CoreConfig, LARGE_CORE, SMALL_CORE, core_by_name
-from repro.sim.cache import CacheConfig, SetAssociativeCache, cyclic_code_hits
-from repro.sim.branch import BimodalPredictor, GSharePredictor
+from repro.sim.cache import cyclic_code_hits
 from repro.sim.stats import SimStats
 from repro.sim.simulator import Simulator
 from repro.sim.artifact import (
@@ -38,11 +39,7 @@ __all__ = [
     "SMALL_CORE",
     "LARGE_CORE",
     "core_by_name",
-    "CacheConfig",
-    "SetAssociativeCache",
     "cyclic_code_hits",
-    "GSharePredictor",
-    "BimodalPredictor",
     "SimStats",
     "Simulator",
     "TraceArtifact",

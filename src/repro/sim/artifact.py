@@ -67,7 +67,11 @@ MAX_MEASURE_ITERATIONS = 160
 #: and memoized stage-2 results are now keyed by the engine that
 #: produced them — v1 artifacts and result-cache entries must not be
 #: reused.
-TRACE_SCHEMA = "trace-artifact-v2"
+#:
+#: v3: the DTLB translates 4 KB pages from byte addresses instead of
+#: assuming 64-byte lines, which changes ``dtlb_*`` counts (and so
+#: cycles) for every core whose L1D line is not 64 bytes.
+TRACE_SCHEMA = "trace-artifact-v3"
 
 
 def trace_schema_fingerprint() -> str:

@@ -1,162 +1,15 @@
-"""Set-associative LRU caches and the L2 stride prefetcher.
+"""Instruction-cache steady-state model.
 
-The data-side hierarchy is simulated access-by-access on the exact address
-trace the generated loop produces.  The instruction side exploits the fact
-that every test case is a fixed loop: a cyclic reference pattern through a
-set-associative LRU cache has a closed-form steady state (per set, all
-lines hit if they fit in the ways, otherwise every access misses), which
-:func:`cyclic_code_hits` computes exactly.
+Every test case is a fixed loop, so instruction fetch is a cyclic
+reference pattern through the set-associative L1I with a per-set steady
+state: sets whose lines fit in the ways always hit, over-capacity sets
+hit at a damped random-replacement rate.  :func:`cyclic_code_hits` is
+the oracle loop over sets and :func:`cyclic_code_hits_closed` its O(1)
+closed form.  The data side (L1D, L2, prefetcher, DTLB) is simulated
+on the exact address trace in :mod:`repro.sim.events`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-import numpy as np
-
-
-@dataclass(frozen=True)
-class CacheConfig:
-    """Convenience alias bundle for building a cache from raw numbers."""
-
-    size_bytes: int
-    assoc: int
-    line_bytes: int = 64
-    latency: int = 2
-
-
-#: Supported replacement policies for the standalone cache model.
-REPLACEMENT_POLICIES = ("lru", "fifo", "random")
-
-
-class SetAssociativeCache:
-    """A set-associative cache with configurable replacement.
-
-    The simulator drives :meth:`access`; statistics accumulate in
-    :attr:`hits` / :attr:`misses`.  Lines installed by the prefetcher are
-    tracked separately so prefetch coverage can be reported.
-
-    Replacement policies: ``lru`` (default, and what the inlined
-    simulator loop implements), ``fifo`` and ``random`` — the latter two
-    support replacement-sensitivity studies on the substrate.
-    """
-
-    def __init__(self, size_bytes: int, assoc: int, line_bytes: int = 64,
-                 policy: str = "lru", seed: int = 0):
-        if size_bytes % (assoc * line_bytes):
-            raise ValueError("cache size must be a multiple of assoc * line")
-        if policy not in REPLACEMENT_POLICIES:
-            raise ValueError(
-                f"unknown replacement policy {policy!r}; "
-                f"choose from {REPLACEMENT_POLICIES}"
-            )
-        self.line_bytes = line_bytes
-        self.assoc = assoc
-        self.policy = policy
-        self.num_sets = size_bytes // (assoc * line_bytes)
-        # Per-set list of tags; for LRU, index -1 = most recent; for
-        # FIFO, index 0 = oldest resident.
-        self._sets: list[list[int]] = [[] for _ in range(self.num_sets)]
-        self._rng = np.random.default_rng(seed)
-        self.hits = 0
-        self.misses = 0
-        self.prefetch_installs = 0
-        self.prefetch_hits = 0
-        self._prefetched: set[int] = set()
-
-    def reset_stats(self) -> None:
-        """Zero the counters without flushing cache contents (for warmup)."""
-        self.hits = 0
-        self.misses = 0
-        self.prefetch_installs = 0
-        self.prefetch_hits = 0
-
-    def _set_and_tag(self, line_addr: int) -> tuple[list[int], int]:
-        return self._sets[line_addr % self.num_sets], line_addr
-
-    def _evict_index(self, ways: list[int]) -> int:
-        if self.policy == "random":
-            return int(self._rng.integers(0, len(ways)))
-        return 0  # both LRU and FIFO evict the head
-
-    def access(self, line_addr: int) -> bool:
-        """Access one line address; returns True on hit."""
-        ways, tag = self._set_and_tag(line_addr)
-        if tag in ways:
-            if self.policy == "lru":
-                ways.remove(tag)
-                ways.append(tag)
-            if tag in self._prefetched:
-                self.prefetch_hits += 1
-                self._prefetched.discard(tag)
-            self.hits += 1
-            return True
-        self.misses += 1
-        if len(ways) >= self.assoc:
-            evicted = ways.pop(self._evict_index(ways))
-            self._prefetched.discard(evicted)
-        ways.append(tag)
-        return False
-
-    def install(self, line_addr: int, prefetch: bool = False) -> None:
-        """Install a line without counting an access (prefetch fill)."""
-        ways, tag = self._set_and_tag(line_addr)
-        if tag in ways:
-            return
-        if len(ways) >= self.assoc:
-            evicted = ways.pop(self._evict_index(ways))
-            self._prefetched.discard(evicted)
-        ways.append(tag)
-        if prefetch:
-            self.prefetch_installs += 1
-            self._prefetched.add(tag)
-
-    def contains(self, line_addr: int) -> bool:
-        """Lookup without side effects."""
-        ways, tag = self._set_and_tag(line_addr)
-        return tag in ways
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Hit fraction over all counted accesses (1.0 when idle)."""
-        total = self.accesses
-        return self.hits / total if total else 1.0
-
-
-class StridePrefetcher:
-    """Per-PC stride prefetcher feeding the L2 (Large core, Table II).
-
-    Keeps a reference-prediction table keyed by the accessing instruction;
-    on two consecutive accesses with the same stride it prefetches
-    ``degree`` lines ahead into the target cache.
-    """
-
-    def __init__(self, target: SetAssociativeCache, degree: int = 2,
-                 table_size: int = 512):
-        self.target = target
-        self.degree = degree
-        self.table_size = table_size
-        self._table: dict[int, tuple[int, int, bool]] = {}
-
-    def observe(self, pc: int, line_addr: int) -> None:
-        """Train on one access and possibly issue prefetches."""
-        last_addr, last_stride, confirmed = self._table.get(pc, (line_addr, 0, False))
-        stride = line_addr - last_addr
-        if stride != 0 and stride == last_stride:
-            confirmed = True
-        elif stride != 0:
-            confirmed = False
-        if confirmed and stride != 0:
-            for d in range(1, self.degree + 1):
-                self.target.install(line_addr + stride * d, prefetch=True)
-        if len(self._table) >= self.table_size and pc not in self._table:
-            self._table.pop(next(iter(self._table)))
-        self._table[pc] = (line_addr, stride if stride else last_stride, confirmed)
-
 
 #: Fraction of the idealized over-capacity residency that instruction
 #: fetch actually achieves: taken branches reorder/skip parts of the loop
@@ -236,8 +89,3 @@ def cyclic_code_hits_closed(
             hits += set_hits * set_count
             misses += (accesses - set_hits) * set_count
     return hits, misses
-
-
-def line_addresses(byte_addresses: np.ndarray, line_bytes: int = 64) -> np.ndarray:
-    """Convert byte addresses to line addresses."""
-    return np.asarray(byte_addresses, dtype=np.int64) // line_bytes

@@ -63,14 +63,8 @@ from itertools import repeat
 import numpy as np
 
 from repro import obs
-from repro.sim.branch import (
-    GSharePredictor,
-    TournamentPredictor,
-    predictor_for_core,
-)
 from repro.sim.cache import cyclic_code_hits, cyclic_code_hits_closed
 from repro.sim.config import CoreConfig
-from repro.sim.tlb import tlb_for_core
 from repro.sim.trace import ExpandedTrace
 
 logger = logging.getLogger(__name__)
@@ -85,8 +79,8 @@ DEFAULT_ENGINE = "vectorized"
 #: Environment override for the process-wide default engine.
 ENGINE_ENV_VAR = "REPRO_EVENT_ENGINE"
 
-# 64-byte lines, 4 KB pages: page = line >> 6.
-_PAGE_SHIFT = 6
+# 4 KB pages: page = byte address >> 12.
+_PAGE_SHIFT = 12
 
 #: Cap on state snapshots taken while hunting for a steady-state cycle;
 #: traces that do not revisit a state within this many periods fall back
@@ -139,6 +133,25 @@ class MemoryEvents:
     dtlb_accesses: int = 0
 
 
+def _large_family(name: str) -> bool:
+    """Whether a core name belongs to the large family (``large`` or
+    ``large-*``).
+
+    Event parameters that :class:`~repro.sim.config.CoreConfig` does not
+    carry (predictor tables, DTLB size) are constants keyed by core
+    name: its layout is pinned by platform identity hashes, so derived
+    cores (``large-tournament``, ``small-bimodal``, ...) inherit their
+    base family's sizes and pick the predictor kind by name suffix
+    instead of a new config field.
+    """
+    return name == "large" or name.startswith("large-")
+
+
+def _dtlb_entries(core: CoreConfig) -> int:
+    """Fully-associative LRU DTLB capacity over 4 KB pages."""
+    return 128 if _large_family(core.name) else 48
+
+
 def memory_event_key(core: CoreConfig) -> tuple:
     """Every core parameter :func:`simulate_memory_batch` reads."""
     return (
@@ -148,7 +161,7 @@ def memory_event_key(core: CoreConfig) -> tuple:
         core.l2.num_sets,
         core.l2.assoc,
         core.l2_prefetcher,
-        tlb_for_core(core.name).entries,
+        _dtlb_entries(core),
     )
 
 
@@ -168,9 +181,11 @@ def _simulate_memory_reference(
 ) -> MemoryEvents:
     """Per-access loop over the trace (the oracle engine).
 
-    The per-set LRU state is inlined as plain lists rather than going
-    through :class:`SetAssociativeCache` method calls; this loop is what
-    the vectorized engine must match bit for bit.
+    The per-set L1/L2 LRU state is inlined as plain lists and the DTLB
+    as an ``OrderedDict`` LRU of 4 KB pages, translated from each
+    access's byte address.  Warmup accesses train every structure but
+    count nothing.  This loop is what the vectorized engine must match
+    bit for bit.
     """
     _record_path("memory.reference")
     res = MemoryEvents()
@@ -190,7 +205,9 @@ def _simulate_memory_reference(
     # Reference-prediction table: pc -> (last_line, stride, confirmed).
     rpt: dict[int, tuple[int, int, bool]] = {}
     prefetched: set[int] = set()
-    tlb = tlb_for_core(core.name)
+    tlb: OrderedDict[int, None] = OrderedDict()
+    tlb_entries = _dtlb_entries(core)
+    line_bytes = trace.line_bytes
 
     stores = trace.mem_is_store.tolist()
     pcs = trace.mem_pcs.tolist()
@@ -198,8 +215,15 @@ def _simulate_memory_reference(
     for k, (pc, line, is_store) in enumerate(zip(pcs, lines, stores)):
         if not counting and k >= warmup:
             counting = True
-            tlb.reset_stats()
-        tlb.access(line << _PAGE_SHIFT)
+        page = (line * line_bytes) >> _PAGE_SHIFT
+        if page in tlb:
+            tlb.move_to_end(page)
+        else:
+            if counting:
+                res.dtlb_misses += 1
+            if len(tlb) >= tlb_entries:
+                tlb.popitem(last=False)
+            tlb[page] = None
         set1 = l1_sets[line % n1]
         if line in set1:
             set1.remove(line)
@@ -265,8 +289,8 @@ def _simulate_memory_reference(
                 res.load_l1_misses += 1
                 if not l2_hit:
                     res.load_l2_misses += 1
-    res.dtlb_misses = tlb.misses
-    res.dtlb_accesses = tlb.accesses
+    # Every measured access translates exactly once.
+    res.dtlb_accesses = n - warmup
     return res
 
 
@@ -355,7 +379,7 @@ class _MemoryKernel:
         self.a1 = core.l1d.assoc
         self.a2 = core.l2.assoc
         self.prefetching = core.l2_prefetcher
-        self.tlb_entries = tlb_for_core(core.name).entries
+        self.tlb_entries = _dtlb_entries(core)
         # Sets materialize lazily: only the footprint's sets ever exist,
         # which also keeps state snapshots proportional to resident
         # lines instead of cache geometry.
@@ -569,7 +593,8 @@ def _memory_columns(
         lambda: lines % core.l2.num_sets,
     )
     pages = _shared_get(
-        shared, ("pages",), lambda: lines >> _PAGE_SHIFT
+        shared, ("pages",),
+        lambda: (lines * trace.line_bytes) >> _PAGE_SHIFT,
     )
     return lines, stores, pcs, set1, set2, pages
 
@@ -810,7 +835,7 @@ def _simulate_memory_aperiodic(
         shared, ("l1rank", n1), depth1,
         lambda: _lru_position_kernel(set1, lines, n1, depth1),
     )
-    tlb_entries = tlb_for_core(core.name).entries
+    tlb_entries = _dtlb_entries(core)
     tlb_miss = _shared_get(
         shared, ("tlb", tlb_entries),
         lambda: _tlb_miss_mask(pages, tlb_entries),
@@ -1015,23 +1040,26 @@ def _simulate_memory_periodic(
 def branch_event_key(core: CoreConfig) -> tuple:
     """Every core parameter :func:`simulate_branches_batch` reads.
 
+    The large family gets 16,384-entry tables and 13 history bits,
+    every other core 4,096 and 10.  The ``-tournament`` and
+    ``-bimodal`` name suffixes pick the predictor kind (see
+    :func:`_large_family`); gshare otherwise.
+
     The key leads with the predictor *kind* and spells out each
     component table: two cores whose predictors differ in kind (or in
     tournament chooser size) but share ``(entries, history_bits)`` used
     to collide in the branch-event memo and reuse each other's results.
     """
-    reference = predictor_for_core(core.name)
-    if isinstance(reference, TournamentPredictor):
-        return (
-            "tournament",
-            reference.bimodal.table.entries,
-            reference.gshare.table.entries,
-            reference.gshare.history_bits,
-            reference.chooser.entries,
-        )
-    if isinstance(reference, GSharePredictor):
-        return ("gshare", reference.table.entries, reference.history_bits)
-    return ("bimodal", reference.table.entries)
+    entries, history_bits = (
+        (16384, 13) if _large_family(core.name) else (4096, 10)
+    )
+    if core.name.endswith("-tournament"):
+        # The chooser is sized like the bimodal table, so the two index
+        # identically (the vectorized chooser scan relies on it).
+        return ("tournament", entries, entries, history_bits, entries)
+    if core.name.endswith("-bimodal"):
+        return ("bimodal", entries)
+    return ("gshare", entries, history_bits)
 
 
 def simulate_branches_batch(
@@ -1042,9 +1070,9 @@ def simulate_branches_batch(
 ) -> list[tuple[int, int]]:
     """Branch events for N core configs over one trace, config-batched.
 
-    Functionally identical to each core's
-    :func:`~repro.sim.branch.predictor_for_core` predictor (gshare,
-    bimodal or tournament).  Returns ``(mispredicts, lookups)`` per core
+    Each core runs the predictor its :func:`branch_event_key` names:
+    gshare, bimodal or tournament, over 2-bit saturating counters that
+    start weakly taken.  Returns ``(mispredicts, lookups)`` per core
     for the measured window, which starts after ``warmup_branches[i]``
     (clamped) trained-but-uncounted branches.
 
@@ -1054,11 +1082,10 @@ def simulate_branches_batch(
     scan.  Gshare and bimodal rows are scattered back and counted in
     program order.  A tournament chooser trains on the component
     *predictions*, so it needs a second scan; it is sized like its
-    bimodal component (:class:`~repro.sim.branch.TournamentPredictor`),
-    so it is indexed identically, and that scan runs in the bimodal
-    row's sorted domain — its layout reused, nothing permuted back to
-    program order.  Bit-identical to N batches of one and to
-    ``engine="reference"``.
+    bimodal component (:func:`branch_event_key`), so it is indexed
+    identically, and that scan runs in the bimodal row's sorted domain
+    — its layout reused, nothing permuted back to program order.
+    Bit-identical to N batches of one and to ``engine="reference"``.
     """
     if len(cores) != len(warmup_branches):
         raise ValueError("one warmup boundary per core required")
@@ -1205,8 +1232,7 @@ def _branches_reference_gshare(
 def _branches_reference_tournament(
     pcs: list, outcomes: list, warmup: int, key: tuple
 ) -> tuple[int, int]:
-    """Tournament loop mirroring
-    :class:`repro.sim.branch.TournamentPredictor`: chooser picks
+    """Tournament loop (Alpha 21264-style): a PC-indexed chooser picks
     bimodal vs gshare, trains toward the correct component only when
     they disagree, and both components train on every branch."""
     _, b_entries, g_entries, g_history_bits, c_entries = key

@@ -1,129 +1,119 @@
-"""Unit tests for the branch predictors."""
+"""Branch-predictor behaviour of the stage-2 branch engines.
+
+Each test drives :func:`repro.sim.events.simulate_branches_batch` on a
+synthetic outcome trace, asserts that both engines agree, and checks
+the measured ``(mispredicts, lookups)``.  The core name picks the
+predictor: ``small`` is gshare, ``small-bimodal`` and
+``small-tournament`` the other two kinds, all with 4,096-entry tables
+of 2-bit counters that start weakly taken.
+"""
 
 import numpy as np
-import pytest
 
-from repro.sim.branch import (
-    BimodalPredictor,
-    GSharePredictor,
-    predictor_for_core,
+from repro.sim import LARGE_CORE, SMALL_CORE, Simulator
+from repro.sim.config import custom_core
+from repro.sim.events import branch_event_key
+from tests.sim.conftest import (
+    branch_events_every_engine,
+    branch_trace,
+    idle_program,
 )
+
+GSHARE = SMALL_CORE
+BIMODAL = custom_core(SMALL_CORE, name="small-bimodal")
+TOURNAMENT = custom_core(SMALL_CORE, name="small-tournament")
+
+
+def run(core, outcomes, warmup=0, pc=0x80):
+    """(mispredicts, lookups) for one branch site's outcome stream."""
+    trace = branch_trace([pc] * len(outcomes), outcomes)
+    return branch_events_every_engine(core, trace, warmup)
+
+
+def alternating(n):
+    return [k % 2 == 0 for k in range(n)]
 
 
 class TestBimodal:
     def test_learns_always_taken(self):
-        p = BimodalPredictor(entries=64)
-        for _ in range(100):
-            p.predict_and_update(0x40, True)
-        p.reset_stats()
-        for _ in range(50):
-            p.predict_and_update(0x40, True)
-        assert p.mispredict_rate == 0.0
+        assert run(BIMODAL, [True] * 150, warmup=100, pc=0x40) == (0, 50)
 
     def test_learns_always_not_taken(self):
-        p = BimodalPredictor(entries=64)
-        for _ in range(100):
-            p.predict_and_update(0x40, False)
-        p.reset_stats()
-        for _ in range(50):
-            p.predict_and_update(0x40, False)
-        assert p.mispredict_rate == 0.0
+        assert run(BIMODAL, [False] * 150, warmup=100, pc=0x40) == (0, 50)
 
     def test_alternating_pattern_defeats_bimodal(self):
-        p = BimodalPredictor(entries=64)
-        for n in range(400):
-            p.predict_and_update(0x40, n % 2 == 0)
-        # Bimodal cannot capture strict alternation; gshare can.
-        assert p.mispredict_rate > 0.3
-
-    def test_power_of_two_required(self):
-        with pytest.raises(ValueError):
-            BimodalPredictor(entries=100)
+        # The counter swings between weakly and strongly taken: every
+        # taken branch is right, every not-taken one wrong.  Gshare
+        # learns strict alternation (see TestGShare).
+        assert run(BIMODAL, alternating(400), pc=0x40) == (200, 400)
 
     def test_idle_rate_is_zero(self):
-        assert BimodalPredictor().mispredict_rate == 0.0
+        stats = Simulator(BIMODAL).run(idle_program(), instructions=4000)
+        assert stats.extra["branch_lookups"] == 0
+        assert stats.mispredict_rate == 0.0
 
 
 class TestGShare:
     def test_learns_alternating_pattern(self):
-        p = GSharePredictor(entries=1024, history_bits=8)
-        for n in range(600):
-            p.predict_and_update(0x80, n % 2 == 0)
-        p.reset_stats()
-        for n in range(200):
-            p.predict_and_update(0x80, n % 2 == 0)
-        assert p.mispredict_rate < 0.05
+        outcomes = alternating(800)
+        assert run(GSHARE, outcomes, warmup=600) == (0, 200)
 
     def test_learns_periodic_pattern(self):
         pattern = [True, True, False, True]
-        p = GSharePredictor(entries=4096, history_bits=10)
-        for n in range(2000):
-            p.predict_and_update(0x80, pattern[n % 4])
-        p.reset_stats()
-        for n in range(400):
-            p.predict_and_update(0x80, pattern[n % 4])
-        assert p.mispredict_rate < 0.05
+        outcomes = [pattern[n % 4] for n in range(2400)]
+        assert run(GSHARE, outcomes, warmup=2000) == (0, 400)
 
     def test_random_outcomes_mispredict_about_half(self):
         rng = np.random.default_rng(0)
-        p = GSharePredictor(entries=1024, history_bits=8)
-        outcomes = rng.random(4000) < 0.5
-        for taken in outcomes:
-            p.predict_and_update(0x80, bool(taken))
-        assert 0.4 < p.mispredict_rate < 0.6
+        outcomes = (rng.random(4000) < 0.5).tolist()
+        mispredicts, lookups = run(GSHARE, outcomes)
+        assert lookups == 4000
+        assert 0.4 < mispredicts / lookups < 0.6
 
     def test_more_random_means_more_mispredicts(self):
         rng = np.random.default_rng(1)
+        pattern = [True, True, False, True]
         rates = []
         for ratio in (0.0, 0.3, 0.7, 1.0):
-            p = GSharePredictor(entries=2048, history_bits=9)
-            pattern = [True, True, False, True]
-            for n in range(3000):
-                if rng.random() < ratio:
-                    taken = bool(rng.random() < 0.5)
-                else:
-                    taken = pattern[n % 4]
-                p.predict_and_update(0x80, taken)
-            rates.append(p.mispredict_rate)
+            outcomes = [
+                bool(rng.random() < 0.5) if rng.random() < ratio
+                else pattern[n % 4]
+                for n in range(3000)
+            ]
+            mispredicts, lookups = run(GSHARE, outcomes)
+            rates.append(mispredicts / lookups)
         assert all(a <= b + 0.03 for a, b in zip(rates, rates[1:]))
 
 
 class TestFactory:
     def test_core_sizing(self):
-        small = predictor_for_core("small")
-        large = predictor_for_core("large")
-        assert isinstance(small, GSharePredictor)
-        assert large.table.entries > small.table.entries
+        assert branch_event_key(SMALL_CORE) == ("gshare", 4096, 10)
+        assert branch_event_key(LARGE_CORE) == ("gshare", 16384, 13)
+        large_tournament = custom_core(LARGE_CORE, name="large-tournament")
+        assert branch_event_key(large_tournament) == (
+            "tournament", 16384, 16384, 13, 16384
+        )
+        assert branch_event_key(BIMODAL) == ("bimodal", 4096)
 
 
 class TestTournament:
     def test_beats_bimodal_on_alternating(self):
-        from repro.sim.branch import TournamentPredictor
-
-        tournament = TournamentPredictor(entries=1024, history_bits=8)
-        bimodal = BimodalPredictor(entries=1024)
-        for n in range(1500):
-            tournament.predict_and_update(0x80, n % 2 == 0)
-            bimodal.predict_and_update(0x80, n % 2 == 0)
-        tournament.reset_stats()
-        bimodal.reset_stats()
-        for n in range(400):
-            tournament.predict_and_update(0x80, n % 2 == 0)
-            bimodal.predict_and_update(0x80, n % 2 == 0)
-        assert tournament.mispredict_rate < bimodal.mispredict_rate
+        # After 1,500 warmup branches the chooser has settled on
+        # gshare, which predicts strict alternation perfectly; bimodal
+        # still misses every not-taken branch.
+        outcomes = alternating(1900)
+        assert run(TOURNAMENT, outcomes, warmup=1500) == (0, 400)
+        assert run(BIMODAL, outcomes, warmup=1500) == (200, 400)
 
     def test_matches_best_component_on_biased_branches(self):
-        from repro.sim.branch import TournamentPredictor
-
+        # Strongly biased branch: bimodal is near-perfect, and the
+        # chooser must not be worse than ~the bias noise floor.
         rng = np.random.default_rng(0)
-        predictor = TournamentPredictor(entries=1024, history_bits=8)
-        # Strongly biased branch: bimodal is near-perfect; the chooser
-        # must not be worse than ~the bias noise floor.
-        for _ in range(3000):
-            predictor.predict_and_update(0x40, bool(rng.random() < 0.95))
-        assert predictor.mispredict_rate < 0.15
+        outcomes = (rng.random(3000) < 0.95).tolist()
+        mispredicts, lookups = run(TOURNAMENT, outcomes, pc=0x40)
+        assert mispredicts / lookups < 0.15
 
     def test_idle_rate_zero(self):
-        from repro.sim.branch import TournamentPredictor
-
-        assert TournamentPredictor().mispredict_rate == 0.0
+        stats = Simulator(TOURNAMENT).run(idle_program(), instructions=4000)
+        assert stats.extra["branch_lookups"] == 0
+        assert stats.mispredict_rate == 0.0

@@ -1,101 +1,145 @@
-"""Unit tests for the cache models."""
+"""Data-cache and prefetcher behaviour of the stage-2 memory engines,
+and the I-cache steady-state model.
+
+Data-side tests drive :func:`repro.sim.events.simulate_memory_batch` on
+synthetic one-access-per-iteration traces, assert that both engines
+agree, and check hand-computed counts.  Every access is a load unless
+marked a store.
+"""
 
 import pytest
 
-from repro.sim.cache import (
-    SetAssociativeCache,
-    StridePrefetcher,
-    cyclic_code_hits,
-    line_addresses,
+from repro.sim import LARGE_CORE, SMALL_CORE, Simulator
+from repro.sim.cache import cyclic_code_hits
+from repro.sim.config import CacheGeometry, custom_core
+from repro.sim.events import ENGINES
+from tests.sim.conftest import (
+    idle_program,
+    mem_trace,
+    memory_events,
+    memory_events_every_engine,
 )
+
+
+def small_l1d(size_bytes, assoc):
+    """SMALL_CORE with a tiny L1D of 64-byte lines."""
+    return custom_core(
+        SMALL_CORE, l1d=CacheGeometry(size_bytes, assoc, latency=3)
+    )
+
+
+#: One set, two ways.
+ONE_SET = small_l1d(128, 2)
+#: Two sets, two ways: even lines map to set 0, odd lines to set 1.
+TWO_SETS = small_l1d(256, 2)
+
+#: One PC walking lines with stride 3 on LARGE_CORE (L2 stride
+#: prefetcher, degree 2).  106 confirms the stride and prefetches 109
+#: and 112; each confirmed access after that prefetches whichever of
+#: its two targets is not yet resident.
+STRIDE_3 = [100, 103, 106, 109]
 
 
 class TestSetAssociativeCache:
     def test_cold_miss_then_hit(self):
-        cache = SetAssociativeCache(1024, 2, 64)
-        assert cache.access(5) is False
-        assert cache.access(5) is True
-        assert cache.hits == 1
-        assert cache.misses == 1
+        events = memory_events_every_engine(
+            small_l1d(1024, 2), mem_trace([5, 5]), 0
+        )
+        assert events.l1d_accesses == 2
+        assert events.l1d_hits == 1
+        assert events.load_l1_misses == 1
 
     def test_lru_eviction_order(self):
-        # One-set cache: 2 ways, 128 bytes, 64-byte lines.
-        cache = SetAssociativeCache(128, 2, 64)
         a, b, c = 0, 1, 2
-        cache.access(a)
-        cache.access(b)
-        cache.access(a)      # a is now MRU
-        cache.access(c)      # evicts b (LRU)
-        assert cache.access(a) is True
-        assert cache.access(b) is False
+        # a is MRU when c arrives, so c evicts b.  The measured window
+        # re-reads a as a load and b as a store, which tells the one
+        # hit from the one miss.
+        trace = mem_trace(
+            [a, b, a, c, a, b], stores=[False] * 5 + [True]
+        )
+        events = memory_events_every_engine(ONE_SET, trace, 4)
+        assert events.l1d_hits == 1
+        assert events.load_l1_misses == 0
+        assert events.store_l1_misses == 1
 
     def test_set_isolation(self):
-        cache = SetAssociativeCache(2 * 64 * 2, 2, 64)  # 2 sets, 2 ways
-        # Lines 0 and 2 map to set 0; lines 1 and 3 to set 1.
-        for line in (0, 2, 1, 3):
-            cache.access(line)
-        assert cache.access(0) is True
-        assert cache.access(1) is True
+        # Lines 0 and 2 fill set 0; lines 1 and 3 fill set 1.
+        trace = mem_trace([0, 2, 1, 3, 0, 1])
+        events = memory_events_every_engine(TWO_SETS, trace, 4)
+        assert events.l1d_accesses == 2
+        assert events.l1d_hits == 2
 
     def test_install_does_not_count_access(self):
-        cache = SetAssociativeCache(1024, 2, 64)
-        cache.install(9)
-        assert cache.accesses == 0
-        assert cache.access(9) is True
+        # Prefetch fills (109, 112, 115, 118) count no L2 access, yet
+        # 112 is resident when the stream reaches it.
+        trace = mem_trace(STRIDE_3 + [112])
+        events = memory_events_every_engine(LARGE_CORE, trace, 0)
+        assert events.prefetch_installs == 4
+        assert events.l2_accesses == 5  # one per L1 miss
+        assert events.l2_hits == 2  # 109 and 112
 
     def test_prefetch_hit_accounting(self):
-        cache = SetAssociativeCache(1024, 2, 64)
-        cache.install(4, prefetch=True)
-        assert cache.prefetch_installs == 1
-        cache.access(4)
-        assert cache.prefetch_hits == 1
+        # 109's first use consumes its prefetched mark: one prefetch
+        # hit.  The re-read hits the L1 and counts none.
+        trace = mem_trace(STRIDE_3 + [109])
+        events = memory_events_every_engine(LARGE_CORE, trace, 0)
+        assert events.prefetch_installs == 3
+        assert events.prefetch_hits == 1
+        assert events.l1d_hits == 1
 
     def test_reset_stats_keeps_contents(self):
-        cache = SetAssociativeCache(1024, 2, 64)
-        cache.access(1)
-        cache.reset_stats()
-        assert cache.misses == 0
-        assert cache.access(1) is True
+        # The warmup boundary zeroes the counters but keeps the lines.
+        events = memory_events_every_engine(
+            small_l1d(1024, 2), mem_trace([1, 1]), 1
+        )
+        assert events.l1d_accesses == 1
+        assert events.l1d_hits == 1
+        assert events.load_l1_misses == 0
 
     def test_hit_rate_idle_is_one(self):
-        assert SetAssociativeCache(1024, 2, 64).hit_rate == 1.0
+        # A loop with no memory accesses reports perfect cache rates.
+        stats = Simulator(SMALL_CORE).run(idle_program(), instructions=4000)
+        assert stats.extra["l1d_accesses"] == 0
+        assert stats.l1d_hit_rate == 1.0
+        assert stats.l2_hit_rate == 1.0
 
     def test_bad_geometry_raises(self):
-        with pytest.raises(ValueError):
-            SetAssociativeCache(1000, 3, 64)
-
-    def test_contains_has_no_side_effects(self):
-        cache = SetAssociativeCache(1024, 2, 64)
-        assert cache.contains(7) is False
-        assert cache.accesses == 0
+        # 64 bytes cannot hold one set of two 64-byte ways.
+        for engine in ENGINES:
+            with pytest.raises(ValueError, match="smaller than one set"):
+                memory_events(
+                    small_l1d(64, 2), mem_trace([0, 1]), 0, engine=engine
+                )
 
 
 class TestStridePrefetcher:
     def test_constant_stride_confirms_and_prefetches(self):
-        target = SetAssociativeCache(4096, 4, 64)
-        pf = StridePrefetcher(target, degree=1)
-        pc = 0x400
-        for n in range(4):
-            pf.observe(pc, 100 + 3 * n)
-        # After confirmation the next line (100 + 3*3 + 3) is resident.
-        assert target.contains(112)
+        # After confirmation the stream's next lines are already
+        # resident: 109 and 112 both hit prefetched L2 lines.
+        trace = mem_trace(STRIDE_3 + [112])
+        events = memory_events_every_engine(LARGE_CORE, trace, 0)
+        assert events.prefetch_installs == 4
+        assert events.prefetch_hits == 2
 
     def test_irregular_stride_does_not_prefetch(self):
-        target = SetAssociativeCache(4096, 4, 64)
-        pf = StridePrefetcher(target, degree=2)
-        pc = 0x400
-        for line in (10, 25, 11, 60, 13):
-            pf.observe(pc, line)
-        assert target.prefetch_installs == 0
+        trace = mem_trace([10, 25, 11, 60, 13])
+        events = memory_events_every_engine(LARGE_CORE, trace, 0)
+        assert events.prefetch_installs == 0
 
     def test_distinct_pcs_tracked_separately(self):
-        target = SetAssociativeCache(1 << 16, 4, 64)
-        pf = StridePrefetcher(target, degree=1)
+        # Two interleaved PCs with strides 5 and 7.  A shared table
+        # entry would never see a repeated stride.  Per-PC entries
+        # confirm both streams (2 + 2 installs), and each stream's
+        # fourth access hits its own prefetch and installs one more.
+        lines, pcs = [], []
         for n in range(4):
-            pf.observe(0x100, 1000 + 5 * n)
-            pf.observe(0x200, 9000 + 7 * n)
-        assert target.contains(1000 + 5 * 3 + 5)
-        assert target.contains(9000 + 7 * 3 + 7)
+            lines += [1000 + 5 * n, 9000 + 7 * n]
+            pcs += [0x100, 0x200]
+        events = memory_events_every_engine(
+            LARGE_CORE, mem_trace(lines, pcs=pcs), 0
+        )
+        assert events.prefetch_installs == 6
+        assert events.prefetch_hits == 2
 
 
 class TestCyclicCodeHits:
@@ -128,51 +172,10 @@ class TestCyclicCodeHits:
         assert all(a >= b - 1e-9 for a, b in zip(rates, rates[1:]))
 
 
-class TestLineAddresses:
-    def test_conversion(self):
-        import numpy as np
-
-        lines = line_addresses(np.array([0, 63, 64, 129]), 64)
-        assert list(lines) == [0, 0, 1, 2]
-
-
 class TestReplacementPolicies:
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="replacement policy"):
-            SetAssociativeCache(1024, 2, 64, policy="plru")
-
-    def test_fifo_ignores_recency(self):
-        # One set, 2 ways.  Under FIFO, re-touching A does not protect it.
-        cache = SetAssociativeCache(128, 2, 64, policy="fifo")
-        cache.access(0)          # A in
-        cache.access(1)          # B in
-        cache.access(0)          # A hit (no reorder under FIFO)
-        cache.access(2)          # evicts A (oldest), not B
-        assert cache.access(1) is True
-        assert cache.access(0) is False
-
     def test_lru_protects_recently_used(self):
-        cache = SetAssociativeCache(128, 2, 64, policy="lru")
-        cache.access(0)
-        cache.access(1)
-        cache.access(0)
-        cache.access(2)          # evicts B under LRU
-        assert cache.access(0) is True
-
-    def test_random_policy_is_deterministic_per_seed(self):
-        def run(seed):
-            cache = SetAssociativeCache(128, 2, 64, policy="random",
-                                        seed=seed)
-            for line in (0, 1, 2, 3, 0, 1, 2, 3):
-                cache.access(line)
-            return cache.hits
-
-        assert run(7) == run(7)
-
-    def test_policies_agree_when_no_eviction_happens(self):
-        for policy in ("lru", "fifo", "random"):
-            cache = SetAssociativeCache(1024, 4, 64, policy=policy)
-            for line in (0, 1, 2, 0, 1, 2):
-                cache.access(line)
-            assert cache.hits == 3
-            assert cache.misses == 3
+        # Re-touching line 0 makes line 1 the LRU victim of line 2, so
+        # the measured re-read of line 0 hits.
+        trace = mem_trace([0, 1, 0, 2, 0])
+        events = memory_events_every_engine(ONE_SET, trace, 4)
+        assert events.l1d_hits == 1

@@ -25,7 +25,6 @@ from repro import obs
 from repro.codegen.wrapper import GenerationOptions, generate_test_case
 from repro.sim import LARGE_CORE, SMALL_CORE, Simulator
 from repro.sim.artifact import TraceArtifact, TraceArtifactCache
-from repro.sim.branch import predictor_for_core
 from repro.sim.config import CacheGeometry
 from repro.sim.events import (
     DEFAULT_ENGINE,
@@ -37,7 +36,12 @@ from repro.sim.events import (
     simulate_branches_batch,
     simulate_memory_batch,
 )
-from repro.sim.trace import ExpandedTrace
+from tests.sim.conftest import (
+    branch_events,
+    branch_trace,
+    mem_trace,
+    memory_events,
+)
 
 KNOBS = dict(ADD=5, MUL=1, FADDD=1, FMULD=1, BEQ=1, BNE=1,
              LD=3, LW=1, SD=1, SW=1,
@@ -48,56 +52,6 @@ KNOBS = dict(ADD=5, MUL=1, FADDD=1, FMULD=1, BEQ=1, BNE=1,
 #: fits in L2 / streams past the L2.
 FOOTPRINTS = (8, 128, 2048)
 WARMUP_FRACTIONS = (0.0, 0.2, 1.0)
-
-
-def memory_events(core, trace, warmup, engine=None) -> MemoryEvents:
-    """One core's memory events: a batch of one."""
-    [events] = simulate_memory_batch([core], trace, [warmup], engine=engine)
-    return events
-
-
-def branch_events(core, trace, warmup, engine=None) -> tuple[int, int]:
-    """One core's (mispredicts, lookups): a batch of one."""
-    [result] = simulate_branches_batch(
-        [core], trace, [warmup], engine=engine
-    )
-    return result
-
-
-def mem_trace(lines, pcs=None, stores=None) -> ExpandedTrace:
-    """A synthetic one-access-per-iteration memory trace."""
-    n = len(lines)
-    return ExpandedTrace(
-        iterations=n,
-        loop_size=1,
-        line_bytes=64,
-        mem_pcs=np.asarray(
-            pcs if pcs is not None else [4] * n, dtype=np.int64
-        ),
-        mem_lines=np.asarray(lines, dtype=np.int64),
-        mem_is_store=np.asarray(
-            stores if stores is not None else [False] * n, dtype=bool
-        ),
-        branch_pcs=np.empty(0, dtype=np.int64),
-        branch_outcomes=np.empty(0, dtype=bool),
-        class_counts={},
-    )
-
-
-def branch_trace(pcs, outcomes) -> ExpandedTrace:
-    """A synthetic one-branch-per-iteration outcome trace."""
-    n = len(pcs)
-    return ExpandedTrace(
-        iterations=n,
-        loop_size=1,
-        line_bytes=64,
-        mem_pcs=np.empty(0, dtype=np.int64),
-        mem_lines=np.empty(0, dtype=np.int64),
-        mem_is_store=np.empty(0, dtype=bool),
-        branch_pcs=np.asarray(pcs, dtype=np.int64),
-        branch_outcomes=np.asarray(outcomes, dtype=bool),
-        class_counts={},
-    )
 
 
 class TestEngineSelection:
@@ -333,9 +287,11 @@ class TestBranchEventKey:
 
     def test_tournament_key_carries_chooser_size(self):
         key = branch_event_key(replace(SMALL_CORE, name="small-tournament"))
-        assert key[0] == "tournament"
-        predictor = predictor_for_core("small-tournament")
-        assert key[-1] == predictor.chooser.entries
+        kind, bimodal_entries, _, _, chooser_entries = key
+        assert kind == "tournament"
+        # The vectorized chooser scan reuses the bimodal row's layout,
+        # which is only sound when the two tables are sized alike.
+        assert chooser_entries == bimodal_entries
 
     def test_kinds_produce_distinct_counts(self):
         # Few hot PCs, some with periodic per-PC patterns (gshare

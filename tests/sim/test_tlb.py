@@ -1,54 +1,107 @@
-"""Unit tests for the data TLB."""
+"""Data-TLB behaviour of the stage-2 memory engines.
+
+The DTLB is a fully-associative LRU over 4 KB pages: 48 entries on the
+small family, 128 on the large one.  Engine tests drive
+:func:`repro.sim.events.simulate_memory_batch` on synthetic traces of
+byte addresses, assert that both engines agree, and check hand-computed
+counts.
+"""
 
 import pytest
 
-from repro.sim.tlb import PAGE_BYTES, DataTLB, tlb_for_core
+from repro.sim import LARGE_CORE, SMALL_CORE, Simulator
+from repro.sim.config import CacheGeometry, custom_core
+from repro.sim.events import ENGINES, memory_event_key
+from tests.sim.conftest import (
+    idle_program,
+    mem_trace,
+    memory_events,
+    memory_events_every_engine,
+)
+
+PAGE = 4096
+
+
+def page_trace(addresses, line_bytes=64):
+    """A memory trace touching ``addresses`` (bytes) in order."""
+    return mem_trace(
+        [a // line_bytes for a in addresses], line_bytes=line_bytes
+    )
+
+
+def dtlb(core, addresses, warmup=0):
+    """(misses, accesses) in the measured window."""
+    events = memory_events_every_engine(core, page_trace(addresses), warmup)
+    return events.dtlb_misses, events.dtlb_accesses
 
 
 class TestDataTLB:
     def test_cold_miss_then_hit(self):
-        tlb = DataTLB(entries=4)
-        assert tlb.access(0) is False
-        assert tlb.access(64) is True  # same page
-        assert tlb.miss_rate == 0.5
+        assert dtlb(SMALL_CORE, [0, 64]) == (1, 2)  # same page
 
     def test_distinct_pages_miss(self):
-        tlb = DataTLB(entries=8)
-        assert tlb.access(0) is False
-        assert tlb.access(PAGE_BYTES) is False
-        assert tlb.access(2 * PAGE_BYTES) is False
+        assert dtlb(SMALL_CORE, [0, PAGE, 2 * PAGE]) == (3, 3)
 
     def test_lru_eviction(self):
-        tlb = DataTLB(entries=2)
-        tlb.access(0)                  # page 0
-        tlb.access(PAGE_BYTES)         # page 1
-        tlb.access(0)                  # page 0 now MRU
-        tlb.access(2 * PAGE_BYTES)     # evicts page 1
-        assert tlb.access(0) is True
-        assert tlb.access(PAGE_BYTES) is False
+        # Fill all 48 entries, re-touch page 0 (now MRU), then page 48
+        # evicts page 1.  Measured: page 0 hits, page 1 misses.
+        pages = list(range(48)) + [0, 48, 0, 1]
+        addresses = [p * PAGE for p in pages]
+        assert dtlb(SMALL_CORE, addresses, warmup=50) == (1, 2)
+        assert dtlb(SMALL_CORE, addresses, warmup=51) == (1, 1)
 
     def test_capacity_bound(self):
-        tlb = DataTLB(entries=16)
-        for page in range(100):
-            tlb.access(page * PAGE_BYTES)
-        assert len(tlb._pages) <= 16
+        # A cyclic walk over ``entries`` pages fits: the second lap
+        # hits throughout.  One page more and LRU evicts each page
+        # just before its reuse: the second lap misses throughout.
+        for core, entries in ((SMALL_CORE, 48), (LARGE_CORE, 128)):
+            for pages, misses in ((entries, 0), (entries + 1, entries + 1)):
+                addresses = [p * PAGE for p in range(pages)] * 2
+                assert dtlb(core, addresses, warmup=pages) == (misses, pages)
 
     def test_reset_stats_keeps_translations(self):
-        tlb = DataTLB(entries=4)
-        tlb.access(0)
-        tlb.reset_stats()
-        assert tlb.misses == 0
-        assert tlb.access(0) is True
+        # The warmup boundary zeroes the counters but keeps the
+        # translations.
+        assert dtlb(SMALL_CORE, [0, 0], warmup=1) == (0, 1)
 
     def test_idle_miss_rate_zero(self):
-        assert DataTLB().miss_rate == 0.0
-
-    def test_bad_entries_rejected(self):
-        with pytest.raises(ValueError):
-            DataTLB(entries=0)
+        stats = Simulator(SMALL_CORE).run(idle_program(), instructions=4000)
+        assert stats.extra["l1d_accesses"] == 0
+        assert stats.dtlb_miss_rate == 0.0
 
     def test_core_sizing(self):
-        assert tlb_for_core("large").entries > tlb_for_core("small").entries
+        assert memory_event_key(SMALL_CORE)[-1] == 48
+        assert memory_event_key(LARGE_CORE)[-1] == 128
+        # Derived cores inherit their base family's size.
+        large_bimodal = custom_core(LARGE_CORE, name="large-bimodal")
+        assert memory_event_key(large_bimodal)[-1] == 128
+
+
+def with_l1d_line(core, line_bytes):
+    """``core`` with its L1D line size changed, all else kept."""
+    l1d = core.l1d
+    return custom_core(core, l1d=CacheGeometry(
+        l1d.size_bytes, l1d.assoc, line_bytes=line_bytes,
+        latency=l1d.latency,
+    ))
+
+
+class TestPageSize:
+    """Pages are 4 KB of byte address whatever the L1D line size."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("line_bytes", [32, 64, 128])
+    def test_pages_are_4kb_at_every_line_size(self, line_bytes, engine):
+        # 200 pages, each touched at offsets 0 and 2048: one miss per
+        # page.  A page of 64 lines would split each page in two at
+        # 32-byte lines (400 misses) and merge page pairs at 128-byte
+        # lines (100 misses).
+        addresses = [p * PAGE + off for p in range(200) for off in (0, 2048)]
+        core = with_l1d_line(SMALL_CORE, line_bytes)
+        events = memory_events(
+            core, page_trace(addresses, line_bytes), 0, engine=engine
+        )
+        assert (events.dtlb_misses, events.dtlb_accesses) == (200, 400)
 
 
 class TestSimulatorIntegration:
@@ -80,3 +133,15 @@ class TestSimulatorIntegration:
     def test_tlb_stall_in_breakdown(self):
         stats = self._run(2048)
         assert stats.breakdown["dtlb"] > 0
+
+    @pytest.mark.parametrize("base", [SMALL_CORE, LARGE_CORE],
+                             ids=lambda core: core.name)
+    def test_dtlb_miss_rate_independent_of_line_size(self, base):
+        # One program walks the same 4 KB pages whatever the L1D line
+        # size, so its DTLB miss rate cannot depend on it.
+        rates = [
+            self._run(2048, with_l1d_line(base, line_bytes)).dtlb_miss_rate
+            for line_bytes in (32, 64, 128)
+        ]
+        assert rates[1] > 0
+        assert rates[0] == rates[1] == rates[2]
