@@ -34,7 +34,7 @@ from repro.codegen.passes.verify import VerifyProgramPass
 from repro.codegen.synthesizer import GenerationContext, Pass, Synthesizer
 from repro.codegen.wrapper import RESERVED_REGISTERS
 from repro.isa.instructions import instruction_def
-from repro.isa.program import Instruction, Program
+from repro.isa.program import OP_IDS, Program
 
 #: Default gene alphabet: the Listing 1 mix mnemonics.
 DEFAULT_ALPHABET = (
@@ -58,7 +58,7 @@ class SequenceProfilePass(Pass):
         self.defs = [instruction_def(m) for m in mnemonics]
 
     def run(self, program: Program, context: GenerationContext) -> None:
-        program.body = [Instruction(idef=d) for d in self.defs]
+        program.reset([OP_IDS[d.mnemonic] for d in self.defs])
         program.metadata["loop_size"] = len(self.defs)
         counts: dict[str, int] = {}
         for d in self.defs:

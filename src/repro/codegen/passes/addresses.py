@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.codegen.synthesizer import GenerationContext, Pass
-from repro.isa.program import Program
+from repro.isa.program import NONE, OP_IS_BRANCH, Program
 
 #: RISC-V fixed 4-byte encoding.
 INSTRUCTION_BYTES = 4
@@ -24,10 +26,13 @@ class UpdateInstructionAddressesPass(Pass):
         self.instruction_bytes = instruction_bytes
 
     def run(self, program: Program, context: GenerationContext) -> None:
-        pc = program.entry_address
-        for instr in program.body:
-            instr.address = pc
-            if instr.idef.is_branch and instr.immediate is None:
-                instr.immediate = program.entry_address
-            pc += self.instruction_bytes
-        program.metadata["code_bytes"] = pc - program.entry_address
+        entry = program.entry_address
+        n = len(program)
+        program.addresses = entry + self.instruction_bytes * np.arange(
+            n, dtype=np.int64
+        )
+        program.immediates = np.where(
+            OP_IS_BRANCH[program.ops] & (program.immediates == NONE),
+            entry, program.immediates,
+        )
+        program.metadata["code_bytes"] = self.instruction_bytes * n

@@ -9,8 +9,10 @@ with that fraction.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.codegen.synthesizer import GenerationContext, Pass
-from repro.isa.program import BranchBehavior, Program
+from repro.isa.program import BRANCH_DTYPE, OP_IS_BRANCH, Program
 
 
 class RandomizeByTypePass(Pass):
@@ -39,11 +41,15 @@ class RandomizeByTypePass(Pass):
         self.taken_bias = taken_bias
 
     def run(self, program: Program, context: GenerationContext) -> None:
-        for n, instr in enumerate(program.branch_instructions()):
-            instr.branch = BranchBehavior(
-                pattern=self.base_pattern,
-                random_ratio=self.random_ratio,
-                seed=int(context.rng.integers(0, 2**31)) + n,
-                taken_bias=self.taken_bias,
-            )
+        slots = np.flatnonzero(OP_IS_BRANCH[program.ops])
+        table = np.zeros(len(slots), dtype=BRANCH_DTYPE)
+        table["slot"] = slots
+        table["random_ratio"] = self.random_ratio
+        # One draw per branch; a batch equals scalar draws (tests/isa).
+        table["seed"] = context.rng.integers(
+            0, 2**31, size=len(slots)
+        ) + np.arange(len(slots))
+        table["taken_bias"] = self.taken_bias
+        program.branches = table
+        program.patterns = [self.base_pattern] if len(slots) else []
         program.metadata["branch_random_ratio"] = self.random_ratio

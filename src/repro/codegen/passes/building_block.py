@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.codegen.synthesizer import GenerationContext, Pass
-from repro.isa.instructions import instruction_def
-from repro.isa.program import Instruction, Program
+from repro.isa.program import OP_IDS, Program
 
 
 class SimpleBuildingBlockPass(Pass):
@@ -22,6 +23,5 @@ class SimpleBuildingBlockPass(Pass):
         self.loop_size = loop_size
 
     def run(self, program: Program, context: GenerationContext) -> None:
-        nop = instruction_def("NOP")
-        program.body = [Instruction(idef=nop) for _ in range(self.loop_size)]
+        program.reset(np.full(self.loop_size, OP_IDS["NOP"]))
         program.metadata["loop_size"] = self.loop_size

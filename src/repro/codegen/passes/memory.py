@@ -3,17 +3,20 @@
 Distributes the program's loads and stores over a set of strided memory
 streams.  Each stream is described the way Listing 2 writes it —
 ``[stream_id, size, ratio, stride, reuse_count, reuse_period]`` — and
-every memory instruction assigned to a stream receives a declarative
-:class:`~repro.isa.program.MemoryAccess` from which the simulator expands
-concrete addresses.
+every memory instruction assigned to a stream receives a row of the
+program's memory table (the fields of a declarative
+:class:`~repro.isa.program.MemoryAccess`) from which the simulator
+expands concrete addresses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.codegen.synthesizer import GenerationContext, Pass
-from repro.isa.program import MemoryAccess, Program
+from repro.isa.program import MEMORY_DTYPE, OP_IS_MEMORY, Program
 
 #: Streams are laid out in a 1 GB region (Table II: Memory 1GB) with
 #: separation so distinct streams never alias.
@@ -72,41 +75,49 @@ class GenericMemoryStreamsPass(Pass):
             raise ValueError("stream ratios sum to zero")
 
     def run(self, program: Program, context: GenerationContext) -> None:
-        mem_instrs = program.memory_instructions()
-        if not mem_instrs:
+        slots = np.flatnonzero(OP_IS_MEMORY[program.ops])
+        if not len(slots):
             program.metadata["memory_streams"] = []
             return
-
-        total_ratio = sum(s.ratio for s in self.streams)
-        # Deterministic proportional assignment: walk instructions in
-        # program order, assigning each to the stream furthest behind its
-        # quota, so streams interleave the way Microprobe interleaves them.
-        assigned: dict[int, int] = {s.stream_id: 0 for s in self.streams}
-        phase_counter: dict[int, int] = {s.stream_id: 0 for s in self.streams}
-        placed: list[tuple] = []
-        for n, instr in enumerate(mem_instrs, start=1):
-            deficits = [
-                (assigned[s.stream_id] - n * s.ratio / total_ratio, i)
-                for i, s in enumerate(self.streams)
-            ]
-            _, pick = min(deficits)
-            spec = self.streams[pick]
-            assigned[spec.stream_id] += 1
-            instr.memory = MemoryAccess(
-                stream_id=spec.stream_id,
-                base=_STREAM_REGION_BASE + spec.stream_id * _STREAM_REGION_SIZE,
-                footprint=spec.size,
-                stride=spec.stride,
-                reuse_count=spec.reuse_count,
-                reuse_period=spec.reuse_period,
-                phase=phase_counter[spec.stream_id],
-            )
-            placed.append(instr)
-            phase_counter[spec.stream_id] += 1
-        # Second pass: each stream advances collectively — every member
-        # instruction steps by the stream's population per iteration.
-        for instr in placed:
-            instr.memory.step = max(1, assigned[instr.memory.stream_id])
+        if len(self.streams) == 1:
+            picks, phases = np.zeros(len(slots), np.int64), range(len(slots))
+        else:
+            # Deterministic proportional assignment: walk instructions in
+            # program order, assigning each to the stream furthest behind
+            # its quota, so streams interleave the way Microprobe
+            # interleaves them.
+            total_ratio = sum(s.ratio for s in self.streams)
+            assigned = {s.stream_id: 0 for s in self.streams}
+            picks, phases = [], []
+            for n in range(1, len(slots) + 1):
+                _, pick = min(
+                    (assigned[s.stream_id] - n * s.ratio / total_ratio, i)
+                    for i, s in enumerate(self.streams)
+                )
+                stream_id = self.streams[pick].stream_id
+                picks.append(pick)
+                phases.append(assigned[stream_id])
+                assigned[stream_id] += 1
+        table = np.zeros(len(slots), dtype=MEMORY_DTYPE)
+        table["slot"] = slots
+        table["phase"] = phases
+        fields = ("stream_id", "footprint", "stride", "reuse_count",
+                  "reuse_period")
+        for name, column in zip(fields, np.array(
+            [(s.stream_id, s.size, s.stride, s.reuse_count, s.reuse_period)
+             for s in self.streams], dtype=np.int64,
+        )[picks].T):
+            table[name] = column
+        stream_ids = table["stream_id"]
+        table["base"] = _STREAM_REGION_BASE + stream_ids * _STREAM_REGION_SIZE
+        ids, members, counts = np.unique(
+            stream_ids, return_inverse=True, return_counts=True
+        )
+        # Each stream advances collectively: every member instruction
+        # steps by the stream's population per iteration.
+        table["step"] = counts[members]
+        program.memory = table
+        population = dict(zip(ids.tolist(), counts.tolist()))
         program.metadata["memory_streams"] = [
             {
                 "stream_id": s.stream_id,
@@ -115,7 +126,7 @@ class GenericMemoryStreamsPass(Pass):
                 "stride": s.stride,
                 "reuse_count": s.reuse_count,
                 "reuse_period": s.reuse_period,
-                "instructions": assigned[s.stream_id],
+                "instructions": population.get(s.stream_id, 0),
             }
             for s in self.streams
         ]

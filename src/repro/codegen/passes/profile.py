@@ -8,9 +8,11 @@ interleaved rather than clustered.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.codegen.synthesizer import GenerationContext, Pass
-from repro.isa.instructions import InstructionDef, instruction_def
-from repro.isa.program import Instruction, Program
+from repro.isa.instructions import instruction_def
+from repro.isa.program import OP_IDS, Program
 
 
 def apportion(weights: dict[str, float], total: int) -> dict[str, int]:
@@ -62,16 +64,15 @@ class SetInstructionTypeByProfilePass(Pass):
             instruction_def(mnemonic)
 
     def run(self, program: Program, context: GenerationContext) -> None:
-        total = len(program.body)
+        total = len(program)
         counts = apportion(self.profile, total)
-        mnemonics: list[str] = []
-        for mnemonic, count in sorted(counts.items()):
-            mnemonics.extend([mnemonic] * count)
+        mnemonics = sorted(counts)
         # Deterministic interleaving: a fixed permutation from the context
-        # RNG spreads classes through the loop body.
+        # RNG scatters the sorted mnemonics through the loop body.
         order = context.rng.permutation(total)
-        body: list[Instruction] = [None] * total  # type: ignore[list-item]
-        for slot, mnemonic in zip(order, mnemonics):
-            body[slot] = Instruction(idef=instruction_def(mnemonic))
-        program.body = body
+        ops = np.empty(total, dtype=np.int64)
+        ops[order] = np.repeat(
+            [OP_IDS[m] for m in mnemonics], [counts[m] for m in mnemonics]
+        )
+        program.reset(ops)
         program.metadata["profile"] = dict(counts)

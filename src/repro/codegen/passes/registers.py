@@ -9,8 +9,16 @@ extract scales with the knob.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.codegen.synthesizer import GenerationContext, Pass
-from repro.isa.program import Instruction, Program
+from repro.isa.program import (
+    OP_IS_FP,
+    OP_NUM_DST,
+    OP_NUM_SRC,
+    Program,
+    register_id,
+)
 from repro.isa.registers import Register, RegisterFile, RegisterKind
 
 
@@ -48,12 +56,14 @@ class InitializeRegistersPass(Pass):
         self.value = value
 
     def run(self, program: Program, context: GenerationContext) -> None:
-        values: dict[str, int] = {}
-        for reg in context.registers.all_registers():
-            if isinstance(self.value, int):
-                values[reg.name] = self.value
-            else:
-                values[reg.name] = int(context.rng.integers(0, 2**31))
+        names = [reg.name for reg in context.registers.all_registers()]
+        if isinstance(self.value, int):
+            values = dict.fromkeys(names, self.value)
+        else:
+            # One batch equals scalar draws (pinned in tests/isa).
+            values = dict(zip(names, context.rng.integers(
+                0, 2**31, size=len(names)
+            ).tolist()))
         program.metadata["register_init"] = values
 
 
@@ -90,45 +100,31 @@ class DefaultRegisterAllocationPass(Pass):
                     f"{self.dd + 1} allocatable {kind.value} registers, "
                     f"have {len(pool)}"
                 )
-        # Ring of recent destinations per register file; sources at
-        # distance dd read producers[-dd].
-        producers: dict[RegisterKind, list[Register]] = {
-            RegisterKind.INT: [],
-            RegisterKind.FP: [],
-        }
-        next_dest = {RegisterKind.INT: 0, RegisterKind.FP: 0}
-
-        for instr in program.body:
-            kind = instr.idef.operand_kind
-            pool = pools[kind]
-            history = producers[kind]
-
-            srcs: list[Register] = []
-            for n in range(instr.idef.num_src):
-                if len(history) >= self.dd:
-                    # Every source reads the producer dd same-kind
-                    # instructions back; extra sources fan out to the
-                    # producers just before it so they do not shorten
-                    # the chain.
-                    srcs.append(history[-self.dd - min(n, len(history) - self.dd)])
-                else:
-                    srcs.append(pool[(n * 7) % len(pool)])
-            instr.srcs = srcs
-
-            dests: list[Register] = []
-            for _ in range(instr.idef.num_dst):
-                # Never allocate a destination that a live chain still
-                # reads within the next dd instructions: rotate through a
-                # window strictly larger than dd.
-                window = min(len(pool), max(self.dd + 1, 4))
-                reg = pool[next_dest[kind] % window]
-                next_dest[kind] += 1
-                dests.append(reg)
-                history.append(reg)
-            instr.dests = dests
-            if not instr.idef.num_dst:
-                # Keep chain spacing uniform for instructions without
-                # destinations (stores, branches) by reusing the last
-                # producer as a phantom: sources above already consumed it.
-                pass
+        # With h the number of earlier producers of an instruction's
+        # register kind, its destination is pool[h % window] (a window
+        # strictly larger than dd, so no live chain's register is
+        # rewritten).  Source n reads producer h - dd, or the producers
+        # just before it for extra sources, or a pool register while
+        # fewer than dd producers exist.
+        ops = program.ops
+        num_src = OP_NUM_SRC[ops]
+        produces = OP_NUM_DST[ops]  # 0 or 1 for every instruction def
+        srcs = np.full((len(ops), num_src.max(initial=0)), -1, np.int64)
+        dests = np.full((len(ops), 1), -1, np.int64)
+        for kind, pool in pools.items():
+            ids = np.array([register_id(r) for r in pool])
+            window = min(len(pool), max(self.dd + 1, 4))
+            mine = OP_IS_FP[ops] == (kind is RegisterKind.FP)
+            made = produces * mine
+            h = np.cumsum(made) - made
+            dests[made == 1, 0] = ids[h[made == 1] % window]
+            for n in range(srcs.shape[1]):
+                rows = mine & (num_src > n)
+                hn = h[rows]
+                back = hn - self.dd - np.minimum(n, hn - self.dd)
+                srcs[rows, n] = np.where(
+                    hn >= self.dd, ids[back % window], ids[n * 7 % len(pool)]
+                )
+        program.srcs = srcs
+        program.dests = dests[:, :produces.max(initial=0)]
         program.metadata["dependency_distance"] = self.dd

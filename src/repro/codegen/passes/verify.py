@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.codegen.synthesizer import GenerationContext, Pass
-from repro.isa.program import Program
+from repro.isa.program import NONE, Program
 
 
 class VerifyProgramPass(Pass):
@@ -19,6 +19,5 @@ class VerifyProgramPass(Pass):
 
     def run(self, program: Program, context: GenerationContext) -> None:
         program.validate()
-        for instr in program.body:
-            if instr.address is None:
-                raise ValueError("instruction without an address after layout")
+        if (program.addresses == NONE).any():
+            raise ValueError("instruction without an address after layout")

@@ -14,8 +14,10 @@ back apart with :func:`split_sections`.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.codegen.wrapper import GenerationOptions, generate_test_case
-from repro.isa.program import Program
+from repro.isa.program import OP_IS_BRANCH, Program
 
 #: Stream-id stride between sections (keeps their address regions apart).
 _SECTION_STREAM_OFFSET = 8
@@ -67,7 +69,7 @@ def generate_phased_test_case(
     options = options or GenerationOptions()
     per_section = max(1, options.loop_size // len(sections))
 
-    merged = Program()
+    body = []
     boundaries = []
     cursor = 0
     for n, knobs in enumerate(sections):
@@ -79,21 +81,21 @@ def generate_phased_test_case(
             base_pattern=options.base_pattern,
         )
         part = generate_test_case(section_knobs, section_options)
-        merged.body.extend(part.body)
-        boundaries.append((cursor, cursor + len(part.body)))
-        cursor += len(part.body)
+        body += part.body
+        boundaries.append((cursor, cursor + len(part)))
+        cursor += len(part)
 
     # Re-layout addresses across the merged body.
-    pc = merged.entry_address
-    for instr in merged.body:
-        instr.address = pc
-        if instr.idef.is_branch:
-            instr.immediate = merged.entry_address
-        pc += 4
-    merged.metadata["code_bytes"] = pc - merged.entry_address
+    merged = Program(body=body)
+    entry = merged.entry_address
+    merged.addresses = entry + 4 * np.arange(len(merged), dtype=np.int64)
+    merged.immediates = np.where(
+        OP_IS_BRANCH[merged.ops], entry, merged.immediates
+    )
+    merged.metadata["code_bytes"] = 4 * len(merged)
     merged.metadata["sections"] = boundaries
     merged.metadata["section_knobs"] = [dict(s) for s in sections]
-    merged.metadata["loop_size"] = len(merged.body)
+    merged.metadata["loop_size"] = len(merged)
     merged.metadata["dependency_distance"] = max(
         int(s.get("REG_DIST", 1)) for s in sections
     )

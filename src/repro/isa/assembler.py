@@ -9,6 +9,8 @@ binary" output of Section III-F).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.isa.program import Instruction, Program
 
 
@@ -44,8 +46,12 @@ def program_to_asm(program: Program) -> str:
 
     The output is an endless loop: a ``loop:`` label at the top and the
     implicit back edge noted at the bottom, mirroring the shape of the
-    paper's generated test cases.
+    paper's generated test cases.  A branch to the entry address names
+    ``loop``; a branch to another instruction's address names a
+    ``.L<hex>:`` label defined before that instruction.
     """
+    entry = program.entry_address
+    targets = {i.immediate for i in program if i.idef.is_branch} - {entry}
     lines = [
         "    .text",
         "    .globl _start",
@@ -53,9 +59,13 @@ def program_to_asm(program: Program) -> str:
         "loop:",
     ]
     for instr in program.body:
+        if instr.address is not None and instr.address in targets:
+            lines.append(f".L{instr.address:x}:")
         if instr.label:
             lines.append(f"{instr.label}:")
         addr = f"{instr.address:#08x}" if instr.address is not None else " " * 8
+        if instr.idef.is_branch and instr.immediate == entry:
+            instr = replace(instr, immediate=None)  # renders as ``loop``
         lines.append(f"    {instruction_to_asm(instr)}    /* {addr} */")
     lines.append("    j loop                              # endless loop back edge")
     return "\n".join(lines) + "\n"

@@ -45,30 +45,6 @@ class Register:
 ZERO = Register(RegisterKind.INT, 0)
 
 
-class _NamesByIndex(dict):
-    """``Register(kind, index).name`` by index for one register file.
-
-    The architectural indices are precomputed; any other index is
-    formatted on lookup, without being stored.
-    """
-
-    def __init__(self, kind: RegisterKind):
-        super().__init__((i, Register(kind, i).name) for i in range(32))
-        self.kind = kind
-
-    def __missing__(self, index: int) -> str:
-        return Register(self.kind, index).name
-
-
-#: ``REGISTER_NAMES[reg.kind is RegisterKind.FP][reg.index] == reg.name``:
-#: a table lookup for loops over every operand of a program, where the
-#: ``name`` property's formatting dominates.
-REGISTER_NAMES = (
-    _NamesByIndex(RegisterKind.INT),
-    _NamesByIndex(RegisterKind.FP),
-)
-
-
 @dataclass
 class RegisterFile:
     """The complete architectural register state available to codegen.

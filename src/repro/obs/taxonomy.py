@@ -66,6 +66,11 @@ SPANS: dict[str, str] = {
                     "miss)",
     "trace.depgraph": "one dependency critical path computed "
                       "(TraceArtifact.dep_cycles memo miss)",
+    "artifact.lookup": "trace-artifact fingerprint plus memory or disk "
+                       "get (TraceArtifactCache.get_or_build, before any "
+                       "build)",
+    "artifact.persist": "one trace artifact written to the on-disk store "
+                        "(TraceArtifactCache.persist)",
     "sim.run_many": "one multi-config simulation sweep",
     "events.memory": "config-batched memory event pass over one "
                      "already-expanded trace window",

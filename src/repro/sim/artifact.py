@@ -37,11 +37,18 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from repro import obs
 from repro.diskstore import LruDirectoryStore
 from repro.isa.instructions import InstrClass
-from repro.isa.program import Program, group_fractions
-from repro.isa.registers import REGISTER_NAMES, RegisterKind
+from repro.isa.program import (
+    NONE,
+    OPS,
+    Program,
+    group_fractions,
+    register_of,
+)
 from repro.sim import events
 from repro.sim.config import CoreConfig
 from repro.sim.depgraph import critical_path_per_iteration
@@ -71,7 +78,12 @@ MAX_MEASURE_ITERATIONS = 160
 #: v3: the DTLB translates 4 KB pages from byte addresses instead of
 #: assuming 64-byte lines, which changes ``dtlb_*`` counts (and so
 #: cycles) for every core whose L1D line is not 64 bytes.
-TRACE_SCHEMA = "trace-artifact-v3"
+#:
+#: v4: a :class:`~repro.isa.program.Program` stores its body as integer
+#: columns, and a persisted artifact pickles its program: the new class
+#: cannot read a v3 pickle of ``Instruction`` objects.  Metrics and
+#: fingerprints are unchanged.
+TRACE_SCHEMA = "trace-artifact-v4"
 
 
 def trace_schema_fingerprint() -> str:
@@ -87,49 +99,55 @@ def program_fingerprint(program: Program) -> str:
     :class:`TraceArtifact`.  The hash covers the full instruction stream
     (operands, addresses, declarative memory/branch behaviour) plus the
     metadata keys the timing model consumes.  The value names on-disk
-    artifact-store entries, so the hashed bytes must never change.
+    artifact-store entries, so the hashed bytes must never change: per
+    instruction, the ``repr`` of ``(mnemonic, latency, class value, dest
+    names, src names, immediate, address, memory fields or None,
+    (pattern, random_ratio, seed, taken_bias) or None)``, assembled from
+    the columns by table lookups.
     """
     meta = program.metadata
+    n = len(program)
+    memory = ["None"] * n
+    for row in program.memory.tolist():
+        memory[row[0]] = _MEMORY_REPR % row[1:]
+    branches = ["None"] * n
+    patterns = [repr(p) for p in program.patterns]
+    for slot, pattern, ratio, seed, bias in program.branches.tolist():
+        branches[slot] = (
+            f"({patterns[pattern]}, {ratio!r}, {seed!r}, {bias!r})"
+        )
+    dests = list(map(tuple, program.dests.tolist()))
+    srcs = list(map(tuple, program.srcs.tolist()))
+    # One register-name tuple repr per distinct operand row.
+    names = {
+        row: repr(tuple(register_of(r).name for r in row if r >= 0))
+        for row in dict.fromkeys(dests + srcs)
+    }
     parts = [
         f"entry={program.entry_address};"
         f"code_bytes={meta.get('code_bytes')};"
         f"dep={meta.get('dependency_distance')};"
         f"streams={len(meta.get('memory_streams') or [])};"
     ]
-    fp = RegisterKind.FP
-    for instr in program.body:
-        mem = instr.memory
-        mem_sig = (
-            (mem.stream_id, mem.base, mem.footprint, mem.stride,
-             mem.reuse_count, mem.reuse_period, mem.phase, mem.step)
-            if mem is not None
-            else None
+    parts += [
+        f"{_OP_REPRS[op]}, {names[d]}, {names[s]}, "
+        f"{'None' if imm == NONE else imm}, "
+        f"{'None' if addr == NONE else addr}, {mem}, {br})"
+        for op, d, s, imm, addr, mem, br in zip(
+            program.ops.tolist(), dests, srcs, program.immediates.tolist(),
+            program.addresses.tolist(), memory, branches,
         )
-        br = instr.branch
-        br_sig = (
-            (br.pattern, br.random_ratio, br.seed, br.taken_bias)
-            if br is not None
-            else None
-        )
-        idef = instr.idef
-        parts.append(
-            repr(
-                (
-                    idef.mnemonic,
-                    idef.latency,
-                    idef.iclass.value,
-                    tuple([REGISTER_NAMES[r.kind is fp][r.index]
-                           for r in instr.dests]),
-                    tuple([REGISTER_NAMES[r.kind is fp][r.index]
-                           for r in instr.srcs]),
-                    instr.immediate,
-                    instr.address,
-                    mem_sig,
-                    br_sig,
-                )
-            )
-        )
+    ]
     return hashlib.sha256("".join(parts).encode()).hexdigest()[:32]
+
+
+#: ``repr`` of a tuple of the eight ``MemoryAccess`` fields.
+_MEMORY_REPR = "(" + ", ".join(["%d"] * 8) + ")"
+#: ``repr((mnemonic, latency, class value))`` per op id, without the
+#: closing parenthesis.
+_OP_REPRS = tuple(
+    repr((d.mnemonic, d.latency, d.iclass.value))[:-1] for d in OPS
+)
 
 
 @dataclass
@@ -226,19 +244,18 @@ class TraceArtifact:
         key = (core.l2.size_bytes,)
         wrap = self._wrap.get(key)
         if wrap is None:
-            wrap = 0
-            for instr in self.program.memory_instructions():
-                mem = instr.memory
-                if mem is None or mem.step <= 0:
-                    continue
-                # Footprints beyond ~1.2x the L2 stream cold or warm.
-                if mem.footprint > 1.2 * core.l2.size_bytes:
-                    continue
-                distinct_per_sweep = max(1, mem.footprint // mem.stride)
-                distinct_per_iter = max(1, mem.step // mem.reuse_period)
-                wrap = max(
-                    wrap, int(distinct_per_sweep / distinct_per_iter) + 1
-                )
+            mem = self.program.memory
+            # Footprints beyond ~1.2x the L2 stream cold or warm.
+            fits = mem["footprint"] <= 1.2 * core.l2.size_bytes
+            distinct_per_sweep = np.maximum(
+                1, mem["footprint"] // mem["stride"]
+            )[fits]
+            distinct_per_iter = np.maximum(
+                1, mem["step"] // mem["reuse_period"]
+            )[fits]
+            wrap = int((
+                distinct_per_sweep / distinct_per_iter
+            ).astype(np.int64).max(initial=-1)) + 1
             self._wrap[key] = wrap
         return wrap
 
@@ -626,19 +643,22 @@ class TraceArtifactCache:
         is configured) before building, so sibling processes sharing a
         store directory build each artifact once between them.
         """
-        key = (program_fingerprint(program), instructions)
         with self._lock:
-            artifact = self._entries.get(key)
-            if artifact is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return artifact
-            self.misses += 1
-            store = self.store
-            if store is not None:
-                artifact = store.get(*key)
+            # Fingerprint and lookup share one span, which closes before
+            # a miss builds, so it never nests trace.build.
+            with obs.span("artifact.lookup"):
+                key = (program_fingerprint(program), instructions)
+                artifact = self._entries.get(key)
                 if artifact is not None:
-                    self._persisted[key] = artifact.memo_count()
+                    self._entries.move_to_end(key)
+                    self.hits += 1
+                    return artifact
+                self.misses += 1
+                store = self.store
+                if store is not None:
+                    artifact = store.get(*key)
+                    if artifact is not None:
+                        self._persisted[key] = artifact.memo_count()
             if artifact is None:
                 artifact = TraceArtifact.build(
                     program, instructions, fingerprint=key[0]
@@ -666,7 +686,8 @@ class TraceArtifactCache:
             if self._persisted.get(key) == memos:
                 return False
             self._persisted[key] = memos
-        store.put(artifact)
+        with obs.span("artifact.persist"):
+            store.put(artifact)
         return True
 
 

@@ -6,18 +6,19 @@ dependencies.  Unrolling the body a few iterations and taking the increment
 of the longest finish time converges to that bound because the dependence
 structure is periodic.
 
-The dynamic program runs over plain lists: each register gets a dense
-int id, looked up by ``2 * index + (kind is FP)`` (so ``x5`` and ``f5``
-stay apart without hashing a :class:`~repro.isa.registers.Register`),
-and each instruction becomes one ``(source ids, latency, destination
-ids)`` row.
+The dynamic program runs over plain lists built from the program's
+columns: registers are the int ids ``2 * index + (kind is FP)`` the
+columns already hold (so ``x5`` and ``f5`` stay apart without hashing a
+:class:`~repro.isa.registers.Register`), and each instruction becomes
+one ``(source ids, latency, destination ids)`` row.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.isa.instructions import InstrClass
-from repro.isa.program import Program
-from repro.isa.registers import RegisterKind
+from repro.isa.program import OPS, Program
 from repro.sim.config import CoreConfig
 
 
@@ -50,22 +51,22 @@ def critical_path_per_iteration(
     """
     if unroll < 1:
         raise ValueError("unroll must be >= 1")
-    if not program.body:
+    if not len(program):
         return 0.0
-    fp = RegisterKind.FP
-    # Register key 2 * index + (kind is FP) -> dense id, by first use.
-    ids: dict[int, int] = {}
-    rows = [
-        (
-            [ids.setdefault(2 * r.index + (r.kind is fp), len(ids))
-             for r in instr.srcs],
-            instruction_latency(instr.idef.latency, instr.idef.iclass, core),
-            [ids.setdefault(2 * r.index + (r.kind is fp), len(ids))
-             for r in instr.dests],
-        )
-        for instr in program.body
+    latency_of = [
+        instruction_latency(d.latency, d.iclass, core) for d in OPS
     ]
-    last_write = [0.0] * len(ids)
+    # Operand pads (-1) become two extra register slots: sources read
+    # ``top``, which is never written (0.0 never raises ``ready``), and
+    # destinations write ``top + 1``, which is never read.
+    top = int(max(program.srcs.max(initial=-1),
+                  program.dests.max(initial=-1))) + 1
+    rows = list(zip(
+        np.where(program.srcs < 0, top, program.srcs).tolist(),
+        [latency_of[op] for op in program.ops.tolist()],
+        np.where(program.dests < 0, top + 1, program.dests).tolist(),
+    ))
+    last_write = [0.0] * (top + 2)
     finish_max = previous = 0.0
     for _ in range(unroll):
         previous = finish_max

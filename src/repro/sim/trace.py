@@ -2,10 +2,11 @@
 
 Generated test cases are fixed loop bodies, so the dynamic trace is the
 static body repeated ``K`` iterations with per-iteration memory addresses
-and branch outcomes expanded from each instruction's declarative
-:class:`~repro.isa.program.MemoryAccess` / ``BranchBehavior``.  Expansion
-is one vectorized pass per event kind: every memory instruction's
-addresses come from one ``(K, M)`` evaluation
+and branch outcomes expanded from the program's memory and branch
+tables (the columns of each instruction's declarative
+:class:`~repro.isa.program.MemoryAccess` / ``BranchBehavior``).
+Expansion is one vectorized pass per event kind: every memory
+instruction's addresses come from one ``(K, M)`` evaluation
 (:func:`~repro.isa.program.address_matrix`) and every branch outcome
 from one ``(K, B)`` evaluation
 (:func:`~repro.isa.program.outcome_matrix`), flattened row-major into
@@ -19,7 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.isa.instructions import InstrClass
-from repro.isa.program import Program, address_matrix, outcome_matrix
+from repro.isa.program import (
+    NONE,
+    OP_IS_STORE,
+    Program,
+    address_matrix,
+    outcome_matrix,
+)
 
 
 @dataclass
@@ -69,31 +76,20 @@ def expand(program: Program, iterations: int, line_bytes: int = 64) -> ExpandedT
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
 
-    mem_instrs = program.memory_instructions()
+    # An instruction without an address expands at PC 0.
+    pcs = np.where(program.addresses == NONE, 0, program.addresses)
+    mem = program.memory
     # (K, M) address matrix, flattened row-major: iteration-major,
     # program order within an iteration.
-    lines = address_matrix(
-        [i.memory for i in mem_instrs], iterations
-    ).reshape(-1) // line_bytes
-    pcs = np.tile(
-        np.asarray([i.address or 0 for i in mem_instrs], dtype=np.int64),
-        iterations,
-    )
-    stores = np.tile(
-        np.asarray(
-            [i.iclass is InstrClass.STORE for i in mem_instrs], dtype=bool
-        ),
-        iterations,
-    )
+    lines = address_matrix(mem, iterations).reshape(-1) // line_bytes
+    mem_pcs = np.tile(pcs[mem["slot"]], iterations)
+    stores = np.tile(OP_IS_STORE[program.ops[mem["slot"]]], iterations)
 
-    br_instrs = program.branch_instructions()
+    branches = program.branches
     outcomes = outcome_matrix(
-        [i.branch for i in br_instrs], iterations
+        branches, program.patterns, iterations
     ).reshape(-1)
-    br_pcs = np.tile(
-        np.asarray([i.address or 0 for i in br_instrs], dtype=np.int64),
-        iterations,
-    )
+    br_pcs = np.tile(pcs[branches["slot"]], iterations)
 
     static_counts = program.class_counts()
     class_counts = {c: n * iterations for c, n in static_counts.items()}
@@ -102,7 +98,7 @@ def expand(program: Program, iterations: int, line_bytes: int = 64) -> ExpandedT
         iterations=iterations,
         loop_size=len(program),
         line_bytes=line_bytes,
-        mem_pcs=pcs,
+        mem_pcs=mem_pcs,
         mem_lines=lines,
         mem_is_store=stores,
         branch_pcs=br_pcs,

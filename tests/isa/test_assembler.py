@@ -1,9 +1,17 @@
 """Unit tests for the assembly writer."""
 
+import pytest
+
 from repro.codegen import generate_test_case
+from repro.codegen.phased import generate_phased_test_case
 from repro.isa.assembler import instruction_to_asm, program_to_asm
 from repro.isa.instructions import instruction_def
-from repro.isa.program import BranchBehavior, Instruction, MemoryAccess
+from repro.isa.program import (
+    BranchBehavior,
+    Instruction,
+    MemoryAccess,
+    Program,
+)
 from repro.isa.registers import Register, RegisterKind
 
 
@@ -69,3 +77,30 @@ class TestProgramToAsm:
         a = program_to_asm(generate_test_case(_knobs()))
         b = program_to_asm(generate_test_case(_knobs()))
         assert a == b
+
+    @pytest.mark.parametrize("build", [
+        lambda: generate_test_case(_knobs()),
+        lambda: generate_phased_test_case(
+            [_knobs(), _knobs(ADD=1, BEQ=3, REG_DIST=1)]
+        ),
+        # A forward branch to the third instruction, then a back edge.
+        lambda: Program(body=[
+            Instruction(instruction_def(m), address=0x10000 + 4 * n,
+                        immediate=target, srcs=srcs,
+                        branch=BranchBehavior() if srcs else None)
+            for n, (m, target, srcs) in enumerate([
+                ("BEQ", 0x10008, [Register(RegisterKind.INT, 1)] * 2),
+                ("NOP", None, []),
+                ("NOP", None, []),
+                ("BNE", 0x10000, [Register(RegisterKind.INT, 2)] * 2),
+            ])
+        ]),
+    ], ids=["generated", "phased", "forward-branch"])
+    def test_every_branch_target_label_is_defined(self, build):
+        text = program_to_asm(build())
+        defined = {line[:-1] for line in text.splitlines()
+                   if line.endswith(":")}
+        named = [line.split()[-4] for line in text.splitlines()
+                 if line.split()[0] in ("beq", "bne")]
+        assert named
+        assert set(named) <= defined, sorted(set(named) - defined)

@@ -94,40 +94,43 @@ class TestBranchBehavior:
 
 
 class TestInstructionValidation:
+    """Per-instruction checks, run by ``Program.validate`` on the
+    columns of a one-instruction program."""
+
     def test_valid_add(self):
-        _add().validate()
+        Program(body=[_add()]).validate()
 
     def test_wrong_dest_count(self):
         instr = _add()
         instr.dests = []
         with pytest.raises(ValueError, match="dests"):
-            instr.validate()
+            Program(body=[instr]).validate()
 
     def test_wrong_src_count(self):
         instr = _add()
         instr.srcs = [_reg(2)]
         with pytest.raises(ValueError, match="srcs"):
-            instr.validate()
+            Program(body=[instr]).validate()
 
     def test_memory_instruction_requires_stream(self):
         load = Instruction(
             idef=instruction_def("LD"), dests=[_reg(1)], srcs=[_reg(2)]
         )
         with pytest.raises(ValueError, match="lacks a stream"):
-            load.validate()
+            Program(body=[load]).validate()
 
     def test_non_memory_instruction_rejects_stream(self):
         instr = _add()
         instr.memory = MemoryAccess(stream_id=1, base=0, footprint=64, stride=8)
         with pytest.raises(ValueError, match="has a stream"):
-            instr.validate()
+            Program(body=[instr]).validate()
 
     def test_branch_requires_behavior(self):
         br = Instruction(
             idef=instruction_def("BEQ"), srcs=[_reg(1), _reg(2)]
         )
         with pytest.raises(ValueError, match="lacks a behaviour"):
-            br.validate()
+            Program(body=[br]).validate()
 
 
 class TestProgram:

@@ -2,6 +2,8 @@
 
 import json
 
+from repro.core.config import MicroGradConfig
+from repro.core.framework import MicroGrad
 from repro.obs import (
     MetricsRegistry,
     RUN_REPORT_SCHEMA,
@@ -106,3 +108,36 @@ class TestRenderers:
     def test_format_cluster_status_empty_cluster(self):
         text = format_cluster_status({"addr": "x:1"})
         assert "0 worker(s)" in text
+
+
+class TestArtifactSpans:
+    """The artifact lookup (fingerprint plus memory or disk get) and the
+    store write are billed to their own spans in a run's report."""
+
+    def _report(self, cache_dir=None):
+        mg = MicroGrad(MicroGradConfig(
+            use_case="stress", metrics=("ipc",), core="small",
+            max_epochs=1, instructions=4000, loop_size=120, seed=3,
+            backend="serial", cache_dir=cache_dir,
+        ))
+        try:
+            return mg.run().run_report
+        finally:
+            mg.close()
+
+    def _assert_shares_at_most_one(self, report):
+        for name, stage in report["stages"].items():
+            assert stage["share_of_wall"] <= 1.0, name
+
+    def test_serial_run_reports_lookup(self):
+        report = self._report()
+        lookup = report["stages"]["artifact.lookup"]
+        assert lookup["count"] > 0
+        assert "artifact.persist" not in report["stages"]
+        self._assert_shares_at_most_one(report)
+
+    def test_cache_dir_run_reports_persist(self, tmp_path):
+        report = self._report(cache_dir=str(tmp_path))
+        assert report["stages"]["artifact.lookup"]["count"] > 0
+        assert report["stages"]["artifact.persist"]["count"] > 0
+        self._assert_shares_at_most_one(report)

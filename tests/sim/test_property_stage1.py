@@ -116,26 +116,27 @@ MEMORY_MNEMONICS = ("LD", "LW", "FLD", "SD", "SW", "FSD")
 
 @st.composite
 def trace_programs(draw):
-    """A body mixing memory instructions, branches and ALU filler."""
+    """A body mixing memory instructions, branches and ALU filler, each
+    at its sequential address from the default entry point."""
     kinds = draw(st.lists(st.sampled_from(["mem", "br", "alu"]),
                           min_size=1, max_size=24))
+    entry = Program().entry_address
     body = []
-    for kind in kinds:
+    for n, kind in enumerate(kinds):
+        address = entry + 4 * n
         if kind == "mem":
             instr = Instruction(
                 instruction_def(draw(st.sampled_from(MEMORY_MNEMONICS))),
+                address=address,
                 memory=draw(memory_accesses),
             )
         elif kind == "br":
-            instr = Instruction(instruction_def("BEQ"),
+            instr = Instruction(instruction_def("BEQ"), address=address,
                                 branch=draw(branch_behaviors))
         else:
-            instr = Instruction(instruction_def("ADD"))
+            instr = Instruction(instruction_def("ADD"), address=address)
         body.append(instr)
-    program = Program(body=body)
-    for n, instr in enumerate(program.body):
-        instr.address = program.entry_address + 4 * n
-    return program
+    return Program(body=body)
 
 
 registers = st.builds(
