@@ -16,6 +16,9 @@ from __future__ import annotations
 
 import json
 import os
+import platform
+import shutil
+import subprocess
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -164,17 +167,59 @@ def brute_force_stress(metric: str, maximize: bool, core: str):
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 
+#: Checkout whose commit the artifacts' provenance names.
+REPO_ROOT = RESULTS_DIR.parent
+
+
+def _git(*args: str) -> str | None:
+    """``git`` output in :data:`REPO_ROOT`; ``None`` outside a checkout."""
+    if not (REPO_ROOT / ".git").exists() or shutil.which("git") is None:
+        return None
+    try:
+        done = subprocess.run(
+            ["git", *args], cwd=REPO_ROOT, capture_output=True, text=True,
+            timeout=30, check=True,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip()
+
+
+def provenance() -> dict:
+    """Host and source identity stamped into every artifact.
+
+    The same fields perfbench's provenance line prints: core count,
+    machine, Python and numpy versions, and the commit plus whether
+    tracked files differ from it (both ``None`` outside a git checkout).
+    """
+    import numpy
+
+    sha = _git("rev-parse", "HEAD")
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "nproc": os.cpu_count(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "git_sha": sha,
+        "git_dirty": None if sha is None or status is None else bool(status),
+    }
+
+
 def save_artifact(name: str, payload: dict) -> Path:
     """Persist one experiment's measured data under ``results/``.
 
     The benchmark prints remain the human-readable record; the JSON
     artifact is the machine-readable one (for plotting or regression
-    comparison across runs).
+    comparison across runs).  Every artifact carries a ``provenance``
+    object (:func:`provenance`), so a number can be traced to the host
+    and commit that produced it.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.json"
     payload = dict(payload)
     payload["mode"] = "full" if FULL else "quick"
+    payload["provenance"] = provenance()
     path.write_text(json.dumps(payload, indent=2, sort_keys=True))
     return path
 
