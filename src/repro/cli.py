@@ -82,13 +82,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
              "--serve-secret' (default: $REPRO_DIST_SECRET)",
     )
     parser.add_argument(
-        "--batch-group-min", type=int, default=None, metavar="N",
-        help="smallest evaluation chunk shipped to a worker when the "
-             "platform supports generation batching (chunks align to "
-             "equivalence-group boundaries; 1 restores pure per-jobs "
-             "chunking)",
-    )
-    parser.add_argument(
         "--metrics-out", default=None, metavar="FILE",
         help="write the run's merged metrics report (stage time "
              "breakdown, engine-path and cache counters across every "
@@ -106,8 +99,7 @@ def _execution_overrides(args: argparse.Namespace) -> dict:
     overrides = {}
     for flag in ("jobs", "backend", "cache_dir", "cache_max_entries",
                  "dist_addr", "dist_workers", "dist_lease_timeout",
-                 "dist_priority", "dist_secret",
-                 "batch_group_min", "metrics_out"):
+                 "dist_priority", "dist_secret", "metrics_out"):
         value = getattr(args, flag, None)
         if value is not None:
             overrides[flag] = value

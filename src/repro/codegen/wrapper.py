@@ -150,9 +150,9 @@ def generation_fingerprint(
     touches the program or the RNG stream), or memory-locality knobs
     when no memory instruction has weight (the memory pass is absent
     from the pipeline entirely).  This function maps a knob dict to a
-    hashable key that quotients out exactly those differences, so the
-    grouping planner can dispatch one generation + one simulation per
-    group and fan the result back out.
+    hashable key that quotients out exactly those differences, so
+    :func:`repro.exec.jobs.evaluate_configs` can dispatch one generation
+    + one simulation per group and fan the result back out.
 
     Safety over sharpness: the key errs toward *splitting*.  Unknown
     knob names are folded in verbatim (a future knob is never wrongly

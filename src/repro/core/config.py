@@ -97,12 +97,6 @@ class MicroGradConfig:
             evicted faster via heartbeats).  ``None`` keeps the
             coordinator default; set it above the worst-case single-job
             runtime.
-        batch_group_min: smallest evaluation chunk worth shipping to a
-            worker when the platform supports generation batching.
-            Epoch batches are chunked on equivalence-group boundaries
-            and never below this size, so whole groups stay on one
-            worker and ride one shared simulation pass (``1`` restores
-            pure per-``jobs`` chunking).
         metrics_out: path to write the run's merged metrics report
             (JSON: per-stage time breakdown, engine-path and cache-hit
             counters across every worker — see
@@ -137,7 +131,6 @@ class MicroGradConfig:
     dist_lease_timeout: float | None = None
     dist_priority: float | None = None
     dist_secret: str | None = None
-    batch_group_min: int = 4
     metrics_out: str | None = None
 
     def __post_init__(self) -> None:
@@ -180,8 +173,6 @@ class MicroGradConfig:
             raise ValueError("dist_lease_timeout must be > 0 (or None)")
         if self.dist_priority is not None and self.dist_priority <= 0:
             raise ValueError("dist_priority must be > 0 (or None)")
-        if self.batch_group_min < 1:
-            raise ValueError("batch_group_min must be >= 1")
         if self.dist_addr is not None:
             from repro.dist.protocol import parse_addr
 
@@ -202,12 +193,16 @@ class MicroGradConfig:
 
     @classmethod
     def from_json(cls, source: str | Path) -> "MicroGradConfig":
-        """Load from a JSON string or file path."""
+        """Load from a JSON document or a file path.
+
+        Text whose first non-blank character is ``{`` is parsed as
+        JSON, however long and on however many lines; anything else is
+        a path, and a missing file raises :class:`FileNotFoundError`
+        naming it.
+        """
         text = str(source)
-        if "\n" not in text and len(text) < 4096:
-            candidate = Path(text)
-            if candidate.exists():
-                text = candidate.read_text()
+        if not text.lstrip().startswith("{"):
+            text = Path(text).read_text()
         data = json.loads(text)
         if "metrics" in data:
             data["metrics"] = tuple(data["metrics"])

@@ -89,7 +89,6 @@ class MicroGrad:
             dist_lease_timeout=config.dist_lease_timeout,
             dist_priority=config.dist_priority,
             dist_secret=config.dist_secret,
-            batch_group_min=config.batch_group_min,
         )
         self.disk_cache = (
             DiskResultCache(
@@ -193,12 +192,6 @@ class MicroGrad:
             f"|loop={self.config.loop_size}|seed={self.config.seed}"
         )
 
-    def _group_key(self, knob_config: dict):
-        """Generation-equivalence key for the evaluator's grouping planner."""
-        from repro.codegen.wrapper import generation_fingerprint
-
-        return generation_fingerprint(knob_config, self._generation_options())
-
     def build_evaluator(self) -> Evaluator:
         """The batch-capable evaluation engine for this instance."""
         return Evaluator(
@@ -207,7 +200,6 @@ class MicroGrad:
             batch_fn=self._evaluate_config_batch,
             disk_cache=self.disk_cache,
             cache_context=self._cache_context(),
-            group_fn=self._group_key,
         )
 
     def _build_tuner(self, evaluator: Evaluator, loss, target_loss: float,
@@ -246,7 +238,6 @@ class MicroGrad:
             return GeneticTuner(evaluator, loss, params, seed=seed)
         return RandomSearch(
             evaluator, loss, max_epochs=self.config.max_epochs, seed=seed,
-            batch_group_min=self.config.batch_group_min,
         )
 
     # -- runs -------------------------------------------------------------

@@ -50,11 +50,13 @@ class DistributedBackend(CacheSettingsMixin):
     """Fan items out to workers connected over the dist protocol.
 
     Args:
-        jobs: explicit chunking hint for callers; when omitted, the
-            hint tracks the *live* worker count once the cluster is up
-            (an external cluster's size has nothing to do with this
-            host's core count), with the spawn count — or the
-            local-core default — as the pre-connect floor.
+        jobs: explicit chunking hint: ``evaluate_configs`` splits a
+            batch into at most this many chunks of whole generation
+            groups.  When omitted, the hint tracks the *live* worker
+            count once the cluster is up (an external cluster's size
+            has nothing to do with this host's core count), with the
+            spawn count — or the local-core default — as the
+            pre-connect floor.
         addr: ``host:port`` of an external persistent coordinator
             (``repro.cli serve``) to join as a client session; ``None``
             starts a private coordinator on an ephemeral loopback port
@@ -74,12 +76,6 @@ class DistributedBackend(CacheSettingsMixin):
             cluster's lease policy is set by ``repro.cli serve``).
         respawn_budget: total local-worker respawns the elastic pool
             may perform (``None`` = pool default, ``0`` disables).
-        batch_group_min: smallest chunk worth shipping when evaluation
-            batches equivalence groups.  The inherited ``chunk_hint``
-            caps the *live* connection-count hint by this floor, so a
-            generation is never sheared mid-group just because many
-            workers happen to be connected — a split group forfeits the
-            shared simulation pass.
         priority: fair-share weight of this client session (client
             mode; ``None`` = 1.0).
         secret: shared secret for a secured coordinator (client mode;
@@ -103,7 +99,6 @@ class DistributedBackend(CacheSettingsMixin):
         worker_grace: float = 60.0,
         lease_timeout: float | None = None,
         respawn_budget: int | None = None,
-        batch_group_min: int = 1,
         priority: float | None = None,
         secret: str | None = None,
         session: str | None = None,
@@ -125,7 +120,7 @@ class DistributedBackend(CacheSettingsMixin):
             spawn_workers or _default_local_workers()
         )
         self.addr = addr
-        self._set_cache(cache_dir, cache_max_entries, batch_group_min)
+        self._set_cache(cache_dir, cache_max_entries)
         self.worker_grace = worker_grace
         self.lease_timeout = lease_timeout
         self.respawn_budget = respawn_budget

@@ -3,9 +3,9 @@
 The tuning stack above this package is backend-agnostic — tuners hand the
 :class:`~repro.tuning.evaluator.Evaluator` a *batch* of candidate knob
 configurations per epoch, the evaluator dedups them, and whatever remains
-is dispatched here: :func:`evaluate_configs` maps one group-aligned chunk
-job per worker, and each job hands every generation-equivalence group to
-the platform's ``evaluate_group``.  :func:`backend_for` picks between
+is dispatched here: :func:`evaluate_configs` groups it by generation
+fingerprint, maps one chunk of whole groups per worker, and each job
+hands every group to the platform's ``evaluate_group``.  :func:`backend_for` picks between
 in-process serial execution, a thread pool, a ``concurrent.futures``
 process pool and the distributed coordinator/worker service
 (:mod:`repro.dist`) from the ``backend=``/``jobs=`` knobs of

@@ -37,33 +37,11 @@ class CacheSettingsMixin:
 
     cache_dir: str | None = None
     cache_max_entries: int | None = None
-    #: Smallest chunk worth shipping when evaluation can batch
-    #: equivalence groups: chunking below this size shears groups apart
-    #: and forfeits the shared simulation pass (see
-    #: :func:`chunk_on_groups`).  ``1`` preserves the historical
-    #: pure-``jobs`` chunking.
-    batch_group_min: int = 1
 
     def _set_cache(self, cache_dir: str | None,
-                   cache_max_entries: int | None,
-                   batch_group_min: int = 1) -> None:
+                   cache_max_entries: int | None) -> None:
         self.cache_dir = cache_dir
         self.cache_max_entries = cache_max_entries
-        self.batch_group_min = max(1, int(batch_group_min))
-
-    def chunk_hint(self, n_items: int) -> int:
-        """How many chunks an ``n_items`` batch should split into.
-
-        The worker count (``self.jobs`` — on the distributed backend a
-        *live* connection count) capped so the average chunk stays at
-        least :attr:`batch_group_min` items: more workers than that
-        would shear equivalence groups across chunk boundaries, and a
-        split group forfeits the generation-batched shared pass.
-        """
-        chunks = max(1, self.jobs)
-        if self.batch_group_min > 1:
-            chunks = min(chunks, max(1, n_items // self.batch_group_min))
-        return chunks
 
     def artifact_store_spec(self) -> tuple[str, int | None] | None:
         """(store root, max entries) for workers, or ``None`` when off."""
@@ -79,20 +57,15 @@ class CacheSettingsMixin:
 class ExecutionBackend(Protocol):
     """Anything that can map a function over items, preserving order.
 
-    The chunk-planning members (``batch_group_min``, :meth:`chunk_hint`,
-    :meth:`artifact_store_spec`) come from :class:`CacheSettingsMixin`.
+    ``jobs`` is the worker count the job layer chunks batches for;
+    :meth:`artifact_store_spec` comes from :class:`CacheSettingsMixin`.
     """
 
     name: str
     jobs: int
-    batch_group_min: int
 
     def map(self, fn: Callable, items: Sequence) -> list:
         """Apply ``fn`` to every item; results come back in input order."""
-        ...
-
-    def chunk_hint(self, n_items: int) -> int:
-        """How many chunks an ``n_items`` batch should split into."""
         ...
 
     def artifact_store_spec(self) -> tuple[str, int | None] | None:
@@ -111,9 +84,8 @@ class SerialBackend(CacheSettingsMixin):
     jobs = 1
 
     def __init__(self, cache_dir: str | None = None,
-                 cache_max_entries: int | None = None,
-                 batch_group_min: int = 1):
-        self._set_cache(cache_dir, cache_max_entries, batch_group_min)
+                 cache_max_entries: int | None = None):
+        self._set_cache(cache_dir, cache_max_entries)
 
     def map(self, fn: Callable, items: Sequence) -> list:
         return [fn(item) for item in items]
@@ -136,11 +108,10 @@ class ThreadBackend(CacheSettingsMixin):
 
     def __init__(self, jobs: int | None = None,
                  cache_dir: str | None = None,
-                 cache_max_entries: int | None = None,
-                 batch_group_min: int = 1):
+                 cache_max_entries: int | None = None):
         self.jobs = jobs if jobs and jobs > 0 else default_jobs()
         self.name = f"thread[{self.jobs}]"
-        self._set_cache(cache_dir, cache_max_entries, batch_group_min)
+        self._set_cache(cache_dir, cache_max_entries)
         self._pool: ThreadPoolExecutor | None = None
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
@@ -178,11 +149,10 @@ class ProcessPoolBackend(CacheSettingsMixin):
 
     def __init__(self, jobs: int | None = None,
                  cache_dir: str | None = None,
-                 cache_max_entries: int | None = None,
-                 batch_group_min: int = 1):
+                 cache_max_entries: int | None = None):
         self.jobs = jobs if jobs and jobs > 0 else default_jobs()
         self.name = f"process[{self.jobs}]"
-        self._set_cache(cache_dir, cache_max_entries, batch_group_min)
+        self._set_cache(cache_dir, cache_max_entries)
         self._pool: ProcessPoolExecutor | None = None
         self._broken = False
 
@@ -276,7 +246,6 @@ def backend_for(
     dist_lease_timeout: float | None = None,
     dist_priority: float | None = None,
     dist_secret: str | None = None,
-    batch_group_min: int = 1,
 ) -> ExecutionBackend:
     """Build the execution backend a config asks for.
 
@@ -305,9 +274,6 @@ def backend_for(
         dist_secret: shared secret answering a secured coordinator's
             auth challenge (dist only; ``None`` falls back to
             ``$REPRO_DIST_SECRET``).
-        batch_group_min: smallest chunk worth shipping when evaluation
-            batches equivalence groups; caps every backend's
-            ``chunk_hint`` so whole groups land on one worker.
     """
     try:
         factory = _BACKEND_FACTORIES[backend]
@@ -329,65 +295,9 @@ def backend_for(
             f"dist_secret only apply to backend='dist', got "
             f"backend={backend!r}"
         )
-    cache = {"cache_dir": cache_dir, "cache_max_entries": cache_max_entries,
-             "batch_group_min": batch_group_min}
+    cache = {"cache_dir": cache_dir, "cache_max_entries": cache_max_entries}
     dist = {"addr": dist_addr, "spawn_workers": dist_workers,
             "lease_timeout": dist_lease_timeout,
             "priority": dist_priority, "secret": dist_secret}
     return factory(jobs, cache, dist)
 
-
-def chunk_on_groups(
-    items: Sequence, chunks: int, keys: Sequence, min_chunk: int = 1
-) -> list[list]:
-    """Split ``items`` into contiguous pieces along group boundaries.
-
-    ``keys[i]`` labels item ``i``'s equivalence group; adjacent items
-    with equal keys form a *run*, and no run is ever split across two
-    chunks — a split group forfeits the generation-batched shared pass,
-    which costs more than a slightly uneven chunk ever could.  The chunk
-    count is additionally capped so the *average* chunk holds at least
-    ``min_chunk`` items (individual chunks may be smaller when group
-    layout forces it — this is a packing hint, not a guarantee).
-
-    Order is preserved under concatenation; no chunk is empty.  With
-    all-distinct keys and ``min_chunk=1`` this degenerates to even
-    chunking: sizes differ by at most one.
-    """
-    items = list(items)
-    keys = list(keys)
-    if len(items) != len(keys):
-        raise ValueError(f"{len(items)} items but {len(keys)} keys")
-    if not items:
-        return []
-    runs: list[int] = []
-    start = 0
-    for i in range(1, len(keys) + 1):
-        if i == len(keys) or keys[i] != keys[start]:
-            runs.append(i - start)
-            start = i
-    chunks = max(1, min(
-        chunks,
-        max(1, len(items) // max(1, min_chunk)),
-        len(runs),
-    ))
-    out = []
-    pos = 0
-    run_idx = 0
-    remaining = len(items)
-    for chunks_left in range(chunks, 0, -1):
-        if chunks_left == 1:
-            out.append(items[pos:])
-            break
-        target = -(-remaining // chunks_left)  # ceil
-        # Reserve one run for each later chunk so none ends up empty.
-        limit = len(runs) - (chunks_left - 1)
-        size = runs[run_idx]
-        run_idx += 1
-        while run_idx < limit and size + runs[run_idx] <= target:
-            size += runs[run_idx]
-            run_idx += 1
-        out.append(items[pos:pos + size])
-        pos += size
-        remaining -= size
-    return out

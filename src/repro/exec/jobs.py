@@ -5,11 +5,13 @@ Worker processes receive module-level functions plus plain-data arguments
 generation **and** simulation run inside the worker — the parent process
 only ships knob dictionaries out and metric dictionaries back.
 
-Every evaluation batch takes one route: :func:`evaluate_configs` splits
-it into group-aligned chunks, ``backend.map`` runs one
-:func:`_evaluate_chunk` per chunk, and each chunk generates one program
-per generation-equivalence group and hands it to
-``platform.evaluate_group`` — the platform decides what a group costs.
+Every evaluation batch takes one route, and :func:`evaluate_configs` is
+the only code that decides it: it groups the batch by generation
+fingerprint, splits the groups into chunks of whole groups
+(:func:`chunk_groups`), and ``backend.map`` runs one
+:func:`_evaluate_chunk` per chunk, which generates one program per group
+and hands it to ``platform.evaluate_group`` — the platform decides what
+a group costs.
 
 Every chunk job additionally returns a :class:`~repro.obs.MetricsSnapshot`
 of the metrics it recorded (engine paths, cache hits, stage spans) so
@@ -30,7 +32,7 @@ from repro.codegen.wrapper import (
     generate_test_case,
     generation_fingerprint,
 )
-from repro.exec.backend import ExecutionBackend, chunk_on_groups
+from repro.exec.backend import ExecutionBackend
 from repro.sim.artifact import attach_artifact_store
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,41 +43,70 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def _evaluate_chunk(platform, options: GenerationOptions,
                     store_spec: tuple[str, int | None] | None,
-                    configs: list[dict]):
-    """Generate and evaluate one chunk, collapsing equivalence groups.
+                    groups: list[tuple[dict, int]]):
+    """Generate and evaluate one chunk of equivalence groups.
 
-    Configs with equal :func:`generation_fingerprint` provably generate
-    the identical program, so each group is generated **once** and
-    handed to ``platform.evaluate_group`` (simulators serve it from one
-    config-batched shared pass); results fan back out per config.
-    Grouping covers the whole chunk, not just adjacent runs, so an
-    unsorted GA population still collapses its clone children.
+    Each ``(config, count)`` pair stands for ``count`` configs whose
+    :func:`generation_fingerprint` equals ``config``'s, so they provably
+    generate the identical program: it is generated **once** and handed
+    to ``platform.evaluate_group`` (simulators serve it from one
+    config-batched shared pass).
 
     ``store_spec`` (the backend's ``artifact_store_spec()``) attaches the
     shared on-disk trace-artifact store in whichever process the chunk
     runs; attach is idempotent, so reused workers pay nothing.
 
-    Returns ``(metrics_list, snapshot)`` — the per-config metrics plus
-    the chunk's metrics delta for the caller to merge.
+    Returns ``(metrics_lists, snapshot)`` — one list of ``count``
+    metrics per group plus the chunk's metrics delta for the caller to
+    merge.
     """
     if store_spec is not None:
         attach_artifact_store(store_spec[0], max_entries=store_spec[1])
     with obs.collect() as scope, obs.span("exec.chunk"):
         obs.inc("engine_path.evaluate.batch")
-        groups: dict[tuple, list[int]] = {}
-        for i, config in enumerate(configs):
-            groups.setdefault(
-                generation_fingerprint(config, options), []
-            ).append(i)
-        results: list[dict[str, float] | None] = [None] * len(configs)
-        for indices in groups.values():
-            program = generate_test_case(configs[indices[0]], options)
+        results = []
+        for config, count in groups:
+            program = generate_test_case(config, options)
             obs.inc("engine_path.evaluate.group")
-            for i, metrics in zip(
-                indices, platform.evaluate_group(program, len(indices))
-            ):
-                results[i] = metrics
+            results.append(platform.evaluate_group(program, count))
     return results, scope.snapshot()
+
+
+def chunk_groups(groups: Sequence, sizes: Sequence[int],
+                 chunks: int) -> list[list]:
+    """Split ``groups`` into at most ``chunks`` contiguous pieces.
+
+    ``sizes[i]`` is group ``i``'s member count.  Groups are never split
+    — a split group would be generated and simulated once per piece —
+    so the chunk count is also capped by the number of groups.  Each
+    chunk but the last takes at least one group, then more while it
+    stays within an even share of the members still unassigned, so
+    all-singleton groups split evenly (sizes differ by at most one).
+    Order is preserved under concatenation; no chunk is empty.
+    """
+    groups = list(groups)
+    sizes = list(sizes)
+    if len(groups) != len(sizes):
+        raise ValueError(f"{len(groups)} groups but {len(sizes)} sizes")
+    if not groups:
+        return []
+    out = []
+    start = 0
+    remaining = sum(sizes)
+    for chunks_left in range(max(1, min(chunks, len(groups))), 1, -1):
+        target = -(-remaining // chunks_left)  # ceil
+        # Leave one group for each later chunk so none ends up empty.
+        limit = len(groups) - (chunks_left - 1)
+        end = start + 1
+        size = sizes[start]
+        while end < limit and size + sizes[end] <= target:
+            size += sizes[end]
+            end += 1
+        out.append(groups[start:end])
+        remaining -= size
+        start = end
+    out.append(groups[start:])
+    return out
 
 
 def evaluate_configs(
@@ -86,28 +117,40 @@ def evaluate_configs(
 ) -> list[dict[str, float]]:
     """Evaluate knob configurations through ``backend``, preserving order.
 
-    Configurations are split into contiguous chunks along
-    generation-fingerprint group boundaries (chunk count from the
-    backend's ``chunk_hint``, floored by its ``batch_group_min``), so
-    the platform is pickled once per chunk, not once per configuration,
-    and no equivalence group is sheared across two workers.  Each chunk
-    runs :func:`_evaluate_chunk`.
+    Configs with equal :func:`generation_fingerprint` form one group, in
+    first-seen order; each config is fingerprinted exactly once.  The
+    groups are split into at most ``backend.jobs`` chunks of whole
+    groups (:func:`chunk_groups`), so the platform is pickled once per
+    chunk and every group is generated once.  Each chunk ships one
+    ``(representative config, member count)`` pair per group to
+    :func:`_evaluate_chunk`, and each group's metrics land back at its
+    members' input positions.
     """
     configs = list(configs)
     if not configs:
         return []
-    keys = [generation_fingerprint(c, options) for c in configs]
-    chunks = chunk_on_groups(
-        configs, backend.chunk_hint(len(configs)), keys,
-        min_chunk=backend.batch_group_min,
+    members: dict[tuple, list[int]] = {}
+    for i, config in enumerate(configs):
+        members.setdefault(
+            generation_fingerprint(config, options), []
+        ).append(i)
+    groups = list(members.values())
+    chunks = chunk_groups(
+        [(configs[indices[0]], len(indices)) for indices in groups],
+        [len(indices) for indices in groups],
+        backend.jobs,
     )
     job = partial(_evaluate_chunk, platform, options,
                   backend.artifact_store_spec())
-    results: list[dict[str, float]] = []
+    group_metrics: list[list[dict[str, float]]] = []
     for chunk_metrics, snapshot in backend.map(job, chunks):
         obs.merge_remote(snapshot)
-        results.extend(chunk_metrics)
-    return results
+        group_metrics.extend(chunk_metrics)
+    results: list[dict[str, float] | None] = [None] * len(configs)
+    for indices, metrics_list in zip(groups, group_metrics):
+        for i, metrics in zip(indices, metrics_list):
+            results[i] = metrics
+    return results  # type: ignore[return-value]
 
 
 def _clone_job(job):

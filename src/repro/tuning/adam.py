@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.tuning.base import LossFn, Tuner, TuningResult
 from repro.tuning.evaluator import Evaluator
+from repro.tuning.gradient import gradient_check
 
 
 @dataclass(frozen=True)
@@ -62,49 +63,6 @@ class AdamTuner(Tuner):
         self.space = evaluator.knob_space
         self._initial = initial
 
-    def _probe_batch(
-        self, kc: np.ndarray
-    ) -> tuple[list[tuple[int, np.ndarray, np.ndarray, float]], list[dict]]:
-        """Evaluate the epoch — base + all gradient probes — as ONE batch.
-
-        Same whole-epoch shape as the paper's GD: the base configuration
-        rides at index 0 and probe *n*'s plus/minus at ``1 + 2n`` /
-        ``2 + 2n``, so the execution backend sees the full generation at
-        once (the shape the group-batched evaluation path collapses).
-        """
-        p = self.params
-        probes: list[tuple[int, np.ndarray, np.ndarray, float]] = []
-        for i in range(len(self.space)):
-            e = np.zeros(len(kc))
-            e[i] = p.delta
-            plus = self.space.clip(kc + e)
-            minus = self.space.clip(kc - e)
-            span = plus[i] - minus[i]
-            if span <= 0:
-                continue
-            probes.append((i, plus, minus, span))
-        vectors = [kc] + [
-            v for _, plus, minus, _ in probes for v in (plus, minus)
-        ]
-        return probes, self.evaluator.evaluate_batch(vectors)
-
-    def _gradient_from(
-        self,
-        probes: list[tuple[int, np.ndarray, np.ndarray, float]],
-        metrics_batch: list[dict],
-    ) -> np.ndarray:
-        """Finite-difference gradient from one epoch's batch results."""
-        grad = np.zeros(len(self.space))
-        for n, (i, plus, minus, span) in enumerate(probes):
-            loss_plus = self._observe(
-                self.space.materialize(plus), metrics_batch[1 + 2 * n]
-            )
-            loss_minus = self._observe(
-                self.space.materialize(minus), metrics_batch[2 + 2 * n]
-            )
-            grad[i] = (loss_plus - loss_minus) / span
-        return grad
-
     def run(self) -> TuningResult:
         p = self.params
         kc = (
@@ -120,16 +78,10 @@ class AdamTuner(Tuner):
         epoch = 0
 
         for epoch in range(1, p.max_epochs + 1):
-            base_config = self.space.materialize(kc)
-            # Whole-epoch batch; base observed first and previous_best
-            # captured before any probe observation, exactly like the
-            # split evaluate() / _gradient() formulation.
-            probes, metrics_batch = self._probe_batch(kc)
-            base_metrics = metrics_batch[0]
-            base_loss = self._observe(base_config, base_metrics)
-            previous_best = self._best_loss
-
-            grad = self._gradient_from(probes, metrics_batch)
+            # The paper GD's whole-epoch gradient check, minus its knob
+            # skipping: Adam draws nothing from its RNG here.
+            check = gradient_check(self, kc, p.delta)
+            grad = check.grad
             m = p.beta1 * m + (1 - p.beta1) * grad
             v = p.beta2 * v + (1 - p.beta2) * grad**2
             m_hat = m / (1 - p.beta1**epoch)
@@ -138,11 +90,13 @@ class AdamTuner(Tuner):
                 kc - p.learning_rate * m_hat / (np.sqrt(v_hat) + p.epsilon)
             )
 
-            self._record_epoch(epoch, base_loss, base_metrics, base_config)
+            self._record_epoch(epoch, check.base_loss, check.base_metrics,
+                               check.base_config)
             if self._best_loss <= p.target_loss:
                 converged, stop_reason = True, "target_loss"
                 break
-            stall = 0 if self._best_loss < previous_best - 1e-12 else stall + 1
+            improved = self._best_loss < check.previous_best - 1e-12
+            stall = 0 if improved else stall + 1
             if stall >= p.patience:
                 converged, stop_reason = True, "patience"
                 break

@@ -93,10 +93,6 @@ class BruteForceSearch(Tuner):
     parallel execution backend keeps every worker busy; history records
     land at the same 50-configuration cadence (and with the same
     cumulative cost counters) as the sequential sweep.
-
-    ``batch_group_min`` floors the batch size: sweeping in batches
-    smaller than the group size that keeps generation batching effective
-    would hand the execution backend epochs too small to collapse.
     """
 
     def __init__(
@@ -106,7 +102,6 @@ class BruteForceSearch(Tuner):
         configs: Iterable[dict],
         seed: int = 0,
         batch_size: int = 50,
-        batch_group_min: int = 1,
     ):
         super().__init__(evaluator, loss, seed=seed)
         self.configs = list(configs)
@@ -114,7 +109,7 @@ class BruteForceSearch(Tuner):
             raise ValueError("brute force needs at least one configuration")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        self.batch_size = max(batch_size, max(1, int(batch_group_min)))
+        self.batch_size = batch_size
 
     def run(self) -> TuningResult:
         total = len(self.configs)

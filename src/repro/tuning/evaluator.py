@@ -49,13 +49,10 @@ class Evaluator:
         cache_context: identity of everything besides the knob config
             that determines metrics (core, instruction budget, ...);
             keys the disk cache.
-        group_fn: optional config -> generation-equivalence key (the
-            grouping planner).  When set, the post-dedup, post-cache-miss
-            dispatch set is reordered so configs with equal keys are
-            adjacent, letting the job layer keep whole equivalence
-            groups in one chunk and serve each group from one shared
-            simulation pass.  Reordering only changes dispatch order —
-            results and accounting are unchanged.
+
+    The unique remainder of a batch is dispatched in first-seen order;
+    grouping it by generated program is the job layer's business
+    (:func:`repro.exec.jobs.evaluate_configs`).
     """
 
     def __init__(
@@ -66,7 +63,6 @@ class Evaluator:
         batch_fn: BatchEvaluateFn | None = None,
         disk_cache: "DiskResultCache | None" = None,
         cache_context: str = "",
-        group_fn: Callable[[dict], object] | None = None,
     ):
         self.knob_space = knob_space
         self._evaluate_config = evaluate_config
@@ -75,7 +71,6 @@ class Evaluator:
         self._cache: dict[tuple, dict[str, float]] = {}
         self._disk_cache = disk_cache
         self._cache_context = cache_context
-        self._group_fn = group_fn
         self.requested_evaluations = 0
         self.unique_evaluations = 0
 
@@ -171,21 +166,6 @@ class Evaluator:
                 results[idx] = cached
             else:
                 pending.setdefault(key, []).append(idx)
-
-        if self._group_fn is not None and len(pending) > 1:
-            # Grouping planner: reorder the dispatch set so equal
-            # generation-equivalence keys are adjacent (stable within a
-            # group, groups in first-seen order).  The batch contract
-            # never promised a dispatch order — reconciliation below
-            # maps dispatch order back to per-index order either way.
-            group_rank: dict = {}
-            ranked = []
-            for key, indices in pending.items():
-                group = self._group_fn(configs[indices[0]])
-                rank = group_rank.setdefault(group, len(group_rank))
-                ranked.append((rank, key, indices))
-            ranked.sort(key=lambda item: item[0])
-            pending = {key: indices for _, key, indices in ranked}
 
         unique_configs = [configs[indices[0]] for indices in pending.values()]
         self.unique_evaluations += len(unique_configs)

@@ -16,6 +16,7 @@ proportionally.  The schedule features the paper calls out:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -61,6 +62,73 @@ class GDParams:
         return self.skip_probability * self.skip_decay**epoch
 
 
+@dataclass(frozen=True)
+class GradientCheck:
+    """One epoch's finite-difference gradient check around a position.
+
+    Attributes:
+        base_config / base_metrics / base_loss: the position itself.
+        previous_best: the tuner's best loss after observing the base
+            and before any probe (the improvement test's baseline).
+        grad: per-knob ``(loss(+delta) - loss(-delta)) / span``; zero
+            for skipped knobs and knobs pinned at both lattice ends.
+    """
+
+    base_config: dict
+    base_metrics: dict
+    base_loss: float
+    previous_best: float
+    grad: np.ndarray
+
+
+def gradient_check(
+    tuner: Tuner,
+    kc: np.ndarray,
+    delta: float,
+    skipped: Sequence[bool] = (),
+) -> GradientCheck:
+    """Evaluate ``kc`` and its +/- ``delta`` probes as ONE batch.
+
+    The whole epoch — the base position plus both probes of every knob
+    not marked in ``skipped`` — is one evaluator batch, so the evaluator
+    dedups across all of it (a probe clipped back onto the base costs
+    nothing) and the execution backend sees the full generation at
+    once.  The base is observed first and ``previous_best`` captured
+    before any probe is observed, so trajectories match evaluating the
+    base and the probes one call at a time.  Draws nothing from the
+    tuner's RNG.
+    """
+    space = tuner.evaluator.knob_space
+    probes: list[tuple[int, np.ndarray, np.ndarray, float]] = []
+    for i in range(len(space)):
+        if skipped and skipped[i]:
+            continue
+        step = np.zeros(len(kc))
+        step[i] = delta
+        plus = space.clip(kc + step)
+        minus = space.clip(kc - step)
+        span = plus[i] - minus[i]
+        if span > 0:
+            probes.append((i, plus, minus, span))
+    metrics_batch = tuner.evaluator.evaluate_batch(
+        [kc] + [v for _, plus, minus, _ in probes for v in (plus, minus)]
+    )
+    base_config = space.materialize(kc)
+    base_loss = tuner._observe(base_config, metrics_batch[0])
+    previous_best = tuner._best_loss
+    grad = np.zeros(len(space))
+    for n, (i, plus, minus, span) in enumerate(probes):
+        loss_plus = tuner._observe(
+            space.materialize(plus), metrics_batch[1 + 2 * n]
+        )
+        loss_minus = tuner._observe(
+            space.materialize(minus), metrics_batch[2 + 2 * n]
+        )
+        grad[i] = (loss_plus - loss_minus) / span
+    return GradientCheck(base_config, metrics_batch[0], base_loss,
+                         previous_best, grad)
+
+
 class GradientDescentTuner(Tuner):
     """The Listing 3 tuning mechanism.
 
@@ -92,55 +160,11 @@ class GradientDescentTuner(Tuner):
 
     # -- one epoch ------------------------------------------------------
 
-    def _epoch_batch(
-        self, kc: np.ndarray, epoch: int
-    ) -> tuple[list[tuple[int, np.ndarray, np.ndarray, float]], list[dict]]:
-        """Draw the epoch's probe set, evaluate base + probes as ONE batch.
-
-        The whole epoch — the base configuration plus every +/- delta
-        gradient-check probe — is submitted as a single batch, so the
-        evaluator dedups across all of it (a probe clipped back onto the
-        base costs nothing) and the execution backend sees the full
-        generation at once, the shape the group-batched evaluation path
-        collapses.  ``metrics_batch[0]`` is the base configuration's
-        metrics; probe *n*'s plus/minus land at ``1 + 2n`` / ``2 + 2n``.
-        """
-        p = self.params
-        skip_chance = p.skip_chance(epoch)
-        probes: list[tuple[int, np.ndarray, np.ndarray, float]] = []
-        for i in range(len(self.space)):
-            if self.rng.random() < skip_chance:
-                continue
-            plus = self.space.clip(kc + p.delta * _unit(len(kc), i))
-            minus = self.space.clip(kc - p.delta * _unit(len(kc), i))
-            span = plus[i] - minus[i]
-            if span <= 0:
-                continue
-            probes.append((i, plus, minus, span))
-        vectors = [kc] + [
-            v for _, plus, minus, _ in probes for v in (plus, minus)
-        ]
-        return probes, self.evaluator.evaluate_batch(vectors)
-
     def _epoch_step(
-        self,
-        kc: np.ndarray,
-        probes: list[tuple[int, np.ndarray, np.ndarray, float]],
-        metrics_batch: list[dict],
-        epoch: int,
+        self, kc: np.ndarray, grad: np.ndarray, epoch: int
     ) -> np.ndarray:
-        """Finish one epoch from its batch results: the new position."""
+        """Finish one epoch from its gradient: the new position."""
         p = self.params
-        grad = np.zeros(len(self.space))
-        for n, (i, plus, minus, span) in enumerate(probes):
-            loss_plus = self._observe(
-                self.space.materialize(plus), metrics_batch[1 + 2 * n]
-            )
-            loss_minus = self._observe(
-                self.space.materialize(minus), metrics_batch[2 + 2 * n]
-            )
-            grad[i] = (loss_plus - loss_minus) / span
-
         steepest = np.max(np.abs(grad))
         if steepest <= 0:
             # Flat neighbourhood: take a small random step to keep moving.
@@ -166,18 +190,15 @@ class GradientDescentTuner(Tuner):
         epoch = 0
 
         for epoch in range(1, p.max_epochs + 1):
-            base_config = self.space.materialize(kc)
-            # One whole-epoch batch: base + every probe.  The base is
-            # observed first (and previous_best captured after it, before
-            # any probe observation) exactly as the split evaluate() /
-            # _epoch() formulation did, so trajectories are bit-identical.
-            probes, metrics_batch = self._epoch_batch(kc, epoch - 1)
-            base_metrics = metrics_batch[0]
-            base_loss = self._observe(base_config, base_metrics)
-            previous_best = self._best_loss
-
-            kc_new = self._epoch_step(kc, probes, metrics_batch, epoch - 1)
-            self._record_epoch(epoch, base_loss, base_metrics, base_config)
+            # Stochastic knob skipping (step 9): one draw per knob, in
+            # knob order, before the epoch's batch.
+            skip_chance = p.skip_chance(epoch - 1)
+            skipped = [self.rng.random() < skip_chance
+                       for _ in range(len(self.space))]
+            check = gradient_check(self, kc, p.delta, skipped)
+            kc_new = self._epoch_step(kc, check.grad, epoch - 1)
+            self._record_epoch(epoch, check.base_loss, check.base_metrics,
+                               check.base_config)
 
             if self._best_loss <= p.target_loss:
                 converged, stop_reason = True, "target_loss"
@@ -189,7 +210,7 @@ class GradientDescentTuner(Tuner):
                     - _materialized_positions(self.space, kc)
                 )
             )
-            improved = self._best_loss < previous_best - 1e-12
+            improved = self._best_loss < check.previous_best - 1e-12
             stall = 0 if improved else stall + 1
 
             if movement < p.movement_epsilon or stall >= p.patience:
@@ -211,12 +232,6 @@ class GradientDescentTuner(Tuner):
             kc = kc_new
 
         return self._result(epoch, converged, stop_reason)
-
-
-def _unit(n: int, i: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e
 
 
 def _materialized_positions(space, kc: np.ndarray) -> np.ndarray:

@@ -16,9 +16,6 @@ class RandomSearch(Tuner):
     Args:
         evaluations_per_epoch: grouping used only for history records so
             progress curves are comparable with other tuners.
-        batch_group_min: floors ``evaluations_per_epoch`` so each epoch
-            batch stays at least the group size that keeps generation
-            batching effective.
     """
 
     def __init__(
@@ -28,13 +25,12 @@ class RandomSearch(Tuner):
         max_epochs: int = 60,
         evaluations_per_epoch: int = 20,
         seed: int = 0,
-        batch_group_min: int = 1,
     ):
         super().__init__(evaluator, loss, seed=seed)
+        if evaluations_per_epoch < 1:
+            raise ValueError("evaluations_per_epoch must be >= 1")
         self.max_epochs = max_epochs
-        self.evaluations_per_epoch = max(
-            evaluations_per_epoch, max(1, int(batch_group_min))
-        )
+        self.evaluations_per_epoch = evaluations_per_epoch
         self.space = evaluator.knob_space
 
     def run(self) -> TuningResult:

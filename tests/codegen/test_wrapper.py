@@ -151,7 +151,7 @@ class TestGenerationFingerprint:
             self._fp(_knobs(), loop_size=500)
 
     def test_equal_fingerprints_generate_identical_programs(self):
-        """The planner contract, spot-checked across merge classes."""
+        """The grouping contract, spot-checked across merge classes."""
         pairs = [
             (_knobs(), {k: v * 2 if k in KNOB_INSTRUCTIONS else v
                         for k, v in _knobs().items()}),

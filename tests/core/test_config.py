@@ -1,5 +1,7 @@
 """Unit tests for the framework configuration."""
 
+import json
+
 import pytest
 
 from repro.core.config import DEFAULT_CLONING_METRICS, MicroGradConfig
@@ -83,6 +85,21 @@ class TestSerialization:
         loaded = MicroGradConfig.from_json(text)
         assert loaded.maximize is True
         assert loaded.use_case == "stress"
+
+    def test_from_json_compact_document(self):
+        # A full config as one compact line (~570 chars) is a document,
+        # not a candidate file name.
+        config = _cloning(core="small", knobs=("ADD", "LD"),
+                          fixed_knobs={"REG_DIST": 5})
+        compact = json.dumps(json.loads(config.to_json()),
+                             separators=(",", ":"))
+        assert "\n" not in compact
+        assert MicroGradConfig.from_json(compact) == config
+
+    def test_from_json_missing_path_names_it(self, tmp_path):
+        missing = tmp_path / "no-such-config.json"
+        with pytest.raises(FileNotFoundError, match="no-such-config.json"):
+            MicroGradConfig.from_json(str(missing))
 
     def test_json_is_stable(self):
         a = _cloning().to_json()

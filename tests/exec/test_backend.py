@@ -7,9 +7,9 @@ from repro.exec.backend import (
     SerialBackend,
     ThreadBackend,
     backend_for,
-    chunk_on_groups,
     default_jobs,
 )
+from repro.exec.jobs import chunk_groups
 
 
 def _square(x):
@@ -129,12 +129,12 @@ class TestBackendFor:
 
 
 def _chunk_distinct(items, chunks):
-    """``chunk_on_groups`` with one group per item."""
-    return chunk_on_groups(items, chunks, [str(x) for x in items])
+    """``chunk_groups`` with one single-member group per item."""
+    return chunk_groups(items, [1] * len(items), chunks)
 
 
 class TestChunkEvenly:
-    """All-distinct keys: ``chunk_on_groups`` degenerates to even chunks."""
+    """All-singleton groups: ``chunk_groups`` degenerates to even chunks."""
 
     def test_concatenation_preserves_order(self):
         items = list(range(11))
@@ -152,63 +152,42 @@ class TestChunkEvenly:
 
 
 class TestChunkOnGroups:
-    def _chunk(self, keys, chunks, min_chunk=1):
-        from repro.exec.backend import chunk_on_groups
+    """``chunk_groups`` over groups of several members."""
 
-        items = list(range(len(keys)))
-        return chunk_on_groups(items, chunks, keys, min_chunk=min_chunk)
+    def _chunk(self, sizes, chunks):
+        """Chunk group ids ``0..len(sizes)-1`` weighted by ``sizes``."""
+        return chunk_groups(list(range(len(sizes))), sizes, chunks)
 
     def test_concatenation_preserves_order(self):
-        keys = ["a", "a", "b", "b", "b", "c", "d", "d"]
-        chunks = self._chunk(keys, 3)
-        assert [x for chunk in chunks for x in chunk] == list(range(8))
+        chunks = self._chunk([2, 3, 1, 2], 3)
+        assert [g for chunk in chunks for g in chunk] == [0, 1, 2, 3]
 
     def test_groups_never_split(self):
-        keys = ["a"] * 3 + ["b"] * 4 + ["c"] * 2 + ["d"] * 5
+        sizes = [3, 4, 2, 5]
         for n in range(1, 8):
-            for chunk in self._chunk(keys, n):
-                labels = [keys[i] for i in chunk]
-                # Each group's items land contiguously in one chunk.
-                for label in set(labels):
-                    assert labels.count(label) == keys.count(label)
+            chunks = self._chunk(sizes, n)
+            # Whole groups are the unit: every group id lands in exactly
+            # one chunk, and the chunk count never exceeds the groups.
+            assert sorted(g for chunk in chunks for g in chunk) == [0, 1, 2, 3]
+            assert len(chunks) == min(n, len(sizes))
 
     def test_no_empty_chunks(self):
-        keys = ["a", "b", "c"]
-        assert all(self._chunk(keys, 10))
+        assert all(self._chunk([1, 1, 1], 10))
 
-    def test_min_chunk_caps_chunk_count(self):
-        keys = [str(i) for i in range(12)]
-        assert len(self._chunk(keys, 12, min_chunk=4)) <= 3
+    def test_balances_member_counts(self):
+        # One big group fills the first chunk on its own; the singletons
+        # share the second, five members each.
+        assert self._chunk([5, 1, 1, 1, 1, 1], 2) == [[0], [1, 2, 3, 4, 5]]
 
     def test_distinct_keys_degenerate_to_even_chunks(self):
-        keys = [str(i) for i in range(10)]
-        assert [len(c) for c in self._chunk(keys, 3)] == [4, 3, 3]
+        assert [len(c) for c in self._chunk([1] * 10, 3)] == [4, 3, 3]
 
     def test_single_group_yields_single_chunk(self):
-        assert self._chunk(["x"] * 9, 4) == [list(range(9))]
+        assert self._chunk([9], 4) == [[0]]
 
     def test_empty_input(self):
         assert self._chunk([], 3) == []
 
     def test_length_mismatch_rejected(self):
-        from repro.exec.backend import chunk_on_groups
-
-        with pytest.raises(ValueError, match="keys"):
-            chunk_on_groups([1, 2], 2, ["a"])
-
-    def test_chunk_hint_respects_batch_group_min(self):
-        backend = SerialBackend(batch_group_min=4)
-        assert backend.chunk_hint(3) == 1
-        backend = ThreadBackend(jobs=8, batch_group_min=4)
-        try:
-            assert backend.chunk_hint(8) == 2
-            assert backend.chunk_hint(64) == 8
-        finally:
-            backend.close()
-
-    def test_backend_for_threads_batch_group_min(self):
-        backend = backend_for("thread", jobs=4, batch_group_min=6)
-        try:
-            assert backend.batch_group_min == 6
-        finally:
-            backend.close()
+        with pytest.raises(ValueError, match="sizes"):
+            chunk_groups([1, 2], [1], 2)

@@ -9,9 +9,12 @@ engine-path counters that prove the batch actually served the work, and
 a platform whose metrics are not stats-pure.
 """
 
+import sys
+
 import pytest
 
 from repro import obs
+from repro.codegen import wrapper
 from repro.codegen.wrapper import GenerationOptions, generate_test_case
 from repro.core.config import MicroGradConfig
 from repro.core.framework import MicroGrad
@@ -21,7 +24,7 @@ from repro.core.platform import (
     PerformancePlatform,
     SimulationPlatformMixin,
 )
-from repro.exec.backend import ProcessPoolBackend, SerialBackend
+from repro.exec.backend import ProcessPoolBackend, SerialBackend, ThreadBackend
 from repro.exec.jobs import evaluate_configs
 from repro.sim.config import core_by_name
 
@@ -71,9 +74,59 @@ class TestEvaluateConfigsGrouped:
         serial = evaluate_configs(
             SerialBackend(), platform, options, CONFIGS
         )
-        with ProcessPoolBackend(jobs=2, batch_group_min=2) as backend:
+        with ProcessPoolBackend(jobs=2) as backend:
             parallel = evaluate_configs(backend, platform, options, CONFIGS)
         assert parallel == serial
+
+
+class TestSingleGroupingLayer:
+    """``evaluate_configs`` fingerprints and groups a batch exactly once."""
+
+    def test_interleaved_equivalent_configs_generate_once_per_group(self):
+        # [A, B, 2A, 2B]: each config's proportionally scaled twin sits
+        # in the other half of the batch, where a split by position
+        # would send it to the other worker.
+        a = {"ADD": 4, "BEQ": 1, "REG_DIST": 2, "B_PATTERN": 0.1}
+        b = {"ADD": 1, "LD": 4, "SD": 2, "MEM_SIZE": 16, "REG_DIST": 4}
+        configs = [a, b, {**a, "ADD": 8, "BEQ": 2},
+                   {**b, "ADD": 2, "LD": 8, "SD": 4}]
+        options = GenerationOptions(loop_size=120)
+        platform = _platform()
+        serial = evaluate_configs(SerialBackend(), platform, options, configs)
+        with ThreadBackend(jobs=2) as backend, obs.collect() as scope:
+            threaded = evaluate_configs(backend, platform, options, configs)
+        counters = scope.snapshot().counters
+        assert counters.get("codegen.programs") == 2
+        assert counters.get("engine_path.evaluate.group") == 2
+        assert threaded == serial
+        oracle = [platform.evaluate(generate_test_case(c, options))
+                  for c in configs]
+        assert threaded == oracle
+
+    def test_one_fingerprint_per_unique_config(self, monkeypatch):
+        """Counted through every module binding, not just the wrapper's."""
+        calls = []
+        original = wrapper.generation_fingerprint
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if module is None or not name.startswith("repro"):
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+        config = MicroGradConfig(
+            use_case="stress", metrics=("ipc",), core="small", tuner="gd",
+            max_epochs=3, loop_size=160, instructions=3_000,
+            knobs=MIX_KNOBS, seed=5, backend="serial",
+        )
+        result = MicroGrad(config).run()
+        unique = result.tuning.unique_evaluations
+        assert unique > 0
+        assert len(calls) == unique
 
 
 class TestFullRunBitIdentity:

@@ -20,10 +20,10 @@ from repro.exec.backend import (
 from repro.exec.jobs import evaluate_configs
 from repro.sim.config import core_by_name
 
-# Pairwise-distinct ADD:LD ratios keep every equivalence group a
-# singleton: group-splitting chunk layouts (batch_group_min=1) would
-# otherwise legitimately re-generate a split group's representative and
-# skew the codegen/evaluate.group counters between backends.
+# Pairwise-distinct ADD:LD ratios make every config its own generation
+# group, so each backend splits the batch over as many chunks as it has
+# workers (up to 8) and the parity check covers real multi-chunk
+# layouts, not one chunk per backend.
 CONFIGS = [
     {"ADD": n + 1, "LD": 8 - n, "BEQ": n % 2, "REG_DIST": 2}
     for n in range(8)

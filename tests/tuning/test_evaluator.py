@@ -168,59 +168,3 @@ class TestDiskCacheIntegration:
         b = Evaluator(_space(), lambda c: {"y": 2.0},
                       disk_cache=cache, cache_context="core=large")
         assert b.evaluate(np.array([0.0, 0.0])) == {"y": 2.0}
-
-
-class TestGroupingPlanner:
-    """group_fn reorders dispatch only; results/accounting are unchanged."""
-
-    def _group_by_a(self, config):
-        return config["A"]
-
-    def test_dispatch_reordered_on_group_boundaries(self):
-        seen = []
-
-        def batch_fn(configs):
-            seen.append([(c["A"], c["B"]) for c in configs])
-            return [{"y": c["A"] * 10 + c["B"]} for c in configs]
-
-        ev = Evaluator(_space(), lambda c: {"y": -1.0},
-                       batch_fn=batch_fn, group_fn=self._group_by_a)
-        # Interleaved groups (A=1, A=2, A=1, A=2): the planner makes
-        # equal-A configs adjacent, stable within each group, groups in
-        # first-seen order.
-        batch = [np.array([0.0, 0.0]), np.array([1.0, 0.0]),
-                 np.array([0.0, 1.0]), np.array([1.0, 1.0])]
-        results = ev.evaluate_batch(batch)
-        assert seen == [[(1.0, 5.0), (1.0, 6.0), (2.0, 5.0), (2.0, 6.0)]]
-        # Results land back in input order; y encodes A*10+B.
-        assert [r["y"] for r in results] == [15.0, 25.0, 16.0, 26.0]
-
-    def test_results_stay_in_input_order(self):
-        ev = Evaluator(_space(), lambda c: {"y": c["A"] * 10 + c["B"]},
-                       group_fn=self._group_by_a)
-        batch = [np.array([2.0, 0.0]), np.array([0.0, 1.0]),
-                 np.array([2.0, 1.0]), np.array([0.0, 0.0])]
-        grouped = ev.evaluate_batch(batch)
-        plain = Evaluator(
-            _space(), lambda c: {"y": c["A"] * 10 + c["B"]}
-        ).evaluate_batch(batch)
-        assert grouped == plain
-
-    def test_accounting_unchanged(self):
-        ev = Evaluator(_space(), lambda c: {"y": 0.0},
-                       group_fn=self._group_by_a)
-        ev.evaluate_batch([np.array([0.0, 0.0]), np.array([0.0, 0.0]),
-                           np.array([1.0, 0.0])])
-        assert ev.requested_evaluations == 3
-        assert ev.unique_evaluations == 2
-
-    def test_single_pending_config_skips_planner(self):
-        calls = []
-
-        def group_fn(config):
-            calls.append(config)
-            return 0
-
-        ev = Evaluator(_space(), lambda c: {"y": 0.0}, group_fn=group_fn)
-        ev.evaluate_batch([np.array([0.0, 0.0])])
-        assert calls == []

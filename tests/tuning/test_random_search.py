@@ -1,5 +1,7 @@
 """Unit tests for the random-search control baseline."""
 
+import pytest
+
 from repro.tuning.random_search import RandomSearch
 
 from tests.tuning.conftest import make_quadratic_problem
@@ -38,3 +40,8 @@ class TestRandomSearch:
             ).run().best_loss
 
         assert run(7) == run(7)
+
+    def test_empty_epochs_rejected(self):
+        space, evaluator, loss = make_quadratic_problem()
+        with pytest.raises(ValueError, match="evaluations_per_epoch"):
+            RandomSearch(evaluator, loss, evaluations_per_epoch=0)
