@@ -100,15 +100,20 @@ class TestDistributedSpeedup:
         )
         serial_s = time.perf_counter() - start
 
-        detach_artifact_store()  # the dist run must start store-cold
-        with DistributedBackend(spawn_workers=WORKERS,
-                                cache_dir=cache_dir) as backend:
-            backend.map(len, [[], []])  # warm the workers up front
-            start = time.perf_counter()
-            dist_metrics = evaluate_configs(
-                backend, platform, options, SWEEP_CONFIGS
-            )
-            dist_s = time.perf_counter() - start
+        # Workers use the caller's artifact store: attach a fresh one
+        # around the dist run, so it starts store-cold and the workers
+        # persist every artifact they build.
+        attach_artifact_store(os.path.join(cache_dir, "artifacts"))
+        try:
+            with DistributedBackend(spawn_workers=WORKERS) as backend:
+                backend.map(len, [[], []])  # warm the workers up front
+                start = time.perf_counter()
+                dist_metrics = evaluate_configs(
+                    backend, platform, options, SWEEP_CONFIGS
+                )
+                dist_s = time.perf_counter() - start
+        finally:
+            detach_artifact_store()
 
         speedup = serial_s / max(dist_s, 1e-9)
         cores = os.cpu_count() or 1
@@ -123,8 +128,7 @@ class TestDistributedSpeedup:
             cold_platform = PerformancePlatform(core_by_name("large"),
                                                 instructions=INSTRUCTIONS)
             rerun_metrics = evaluate_configs(
-                SerialBackend(cache_dir=cache_dir), cold_platform, options,
-                SWEEP_CONFIGS,
+                SerialBackend(), cold_platform, options, SWEEP_CONFIGS,
             )
             hits = store.hits - hits_before
             misses = store.misses - misses_before

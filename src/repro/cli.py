@@ -40,7 +40,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="directory to save the result into")
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="evaluation worker processes (1 serial, 0 all cores)",
+        help="thread/process pool workers (1 serial, 0 all cores); "
+             "dist chunks by its own workers",
     )
     parser.add_argument(
         "--backend", default=None, choices=list(BACKEND_NAMES),

@@ -60,11 +60,12 @@ class MicroGradConfig:
         instructions: dynamic instruction budget per evaluation.
         with_power: attach the power model to the platform.
         seed: RNG seed for the whole run.
-        jobs: evaluation worker processes (``1`` serial, ``0`` all
+        jobs: thread/process pool workers (``1`` serial, ``0`` all
             cores).  Results are bit-identical at any worker count.
         backend: evaluation execution backend — ``"auto"`` (process
             pool whenever ``jobs`` asks for more than one worker),
-            ``"serial"`` or ``"process"``.
+            ``"serial"``, ``"thread"``, ``"process"`` or ``"dist"``
+            (which chunks by its own workers, see ``dist_workers``).
         cache_dir: directory for the persistent evaluation result cache
             (``None`` disables it).  Also roots the shared on-disk
             trace-artifact store (``<cache_dir>/artifacts``) that lets

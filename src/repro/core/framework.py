@@ -25,8 +25,6 @@ from repro.core.usecases.cloning import CloningUseCase
 from repro.core.usecases.stress import StressTestingUseCase
 from repro.exec import (
     DiskResultCache,
-    ExecutionBackend,
-    SerialBackend,
     backend_for,
     evaluate_configs,
     run_clone_jobs,
@@ -71,19 +69,16 @@ class MicroGrad:
     """
 
     def __init__(self, config: MicroGradConfig,
-                 platform: EvaluationPlatform | None = None,
-                 backend: ExecutionBackend | None = None):
+                 platform: EvaluationPlatform | None = None):
         self.config = config
         self.platform = platform or platform_for(
             config.core,
             with_power=config.with_power or self._needs_power(),
             instructions=config.instructions,
         )
-        self.backend = backend or backend_for(
+        self.backend = backend_for(
             config.backend,
             config.jobs,
-            cache_dir=config.cache_dir,
-            cache_max_entries=config.cache_max_entries,
             dist_addr=config.dist_addr,
             dist_workers=config.dist_workers,
             dist_lease_timeout=config.dist_lease_timeout,
@@ -103,8 +98,8 @@ class MicroGrad:
         if config.cache_dir:
             # Shared trace-artifact store: this process and every worker
             # (pool or distributed) compute each artifact once between
-            # them.  Workers attach through the backend's store spec;
-            # this covers serial evaluation and re-runs.
+            # them.  evaluate_configs hands the active store to every
+            # worker it dispatches to.
             self._artifact_store = attach_artifact_store(
                 os.path.join(config.cache_dir, "artifacts"),
                 max_entries=config.cache_max_entries,
@@ -341,7 +336,6 @@ class MicroGrad:
                                   workload.programs()))
         phase_names = []
         sub_configs = []
-        parallel = not isinstance(self.backend, SerialBackend)
         # Characterize each *distinct* phase once: simpoints frequently
         # sample the same phase, and the trace artifact of a phase
         # program is shared through the simulator's artifact cache.
@@ -360,29 +354,23 @@ class MicroGrad:
                 targets={m: targets[m] for m in self.config.metrics},
                 application=None,
                 use_simpoints=False,
-                # When simpoints fan out across workers, each worker's
-                # cloning pass runs serially inside its process — the
-                # parallelism budget is spent at the simpoint level.
-                jobs=1 if parallel else self.config.jobs,
-                backend="serial" if parallel else self.config.backend,
+                # Simpoints fan out across this instance's backend, and
+                # each cloning pass runs serially wherever it lands (the
+                # parallelism budget is spent at the simpoint level), so
+                # it sheds the dist settings a serial backend rejects.
+                jobs=1, backend="serial", dist_addr=None, dist_workers=None,
+                dist_lease_timeout=None, dist_priority=None,
+                dist_secret=None,
             )
             phase_names.append(phase_name)
             sub_configs.append(sub_config)
 
-        if parallel:
-            # One clone per interesting phase, all phases in flight at
-            # once: each worker rebuilds MicroGrad from the (picklable)
-            # sub-config — and this instance's platform, so an injected
-            # custom platform is honored in parallel exactly as in
-            # serial — and returns the full result.
-            results = run_clone_jobs(self.backend, sub_configs,
-                                     platform=self.platform)
-        else:
-            results = [
-                MicroGrad(sub_config, platform=self.platform,
-                          backend=self.backend).run()
-                for sub_config in sub_configs
-            ]
+        # One clone per interesting phase, all phases in flight at once:
+        # each worker rebuilds MicroGrad from the (picklable) sub-config
+        # — and this instance's platform, so an injected custom platform
+        # is honored on every backend — and returns the full result.
+        results = run_clone_jobs(self.backend, sub_configs,
+                                 platform=self.platform)
         for sp, phase_name, result in zip(simpoints, phase_names, results):
             result.knobs["_simpoint_weight"] = sp.weight
             result.knobs["_simpoint_phase"] = phase_name

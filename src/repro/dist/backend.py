@@ -14,17 +14,18 @@ whose cluster the session joins:
 * **Client mode** (``dist_addr`` given): the address names an
   *external persistent* cluster (``repro.cli serve``); the backend
   spawns and owns **nothing**.  It opens its session there, prefetches
-  the newest local trace artifacts to the worker fleet (owner-mode
-  workers attach the same cache dir instead), and submits its batches
-  into the shared fair scheduler alongside every other tenant.
+  the newest trace artifacts of this process's artifact store to the
+  worker fleet, and submits its batches into the shared fair scheduler
+  alongside every other tenant.
 
 Either way the contract is the same as every other backend: ``map(fn,
 items)`` in, ordered results out, bit-identical to serial execution.
+The job layer chunks a batch by the backend's own workers: the spawn
+count in owner mode, the session's live worker count in client mode.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Sequence
 
 from repro.dist.client import ClientSession
@@ -33,42 +34,29 @@ from repro.dist.protocol import dumps_payload, loads_payload
 from repro.dist.worker import WorkerPool
 
 # Safe despite repro.exec.__init__ importing this module eagerly:
-# repro.exec.backend itself only imports repro.dist lazily (inside the
-# backend_for factory), so the module graph stays acyclic.
-from repro.exec.backend import CacheSettingsMixin
+# repro.exec.backend itself only imports repro.dist lazily (inside
+# backend_for), so the module graph stays acyclic.
+from repro.exec.backend import default_jobs
+from repro.sim.artifact import active_artifact_store
 
 #: Newest local artifacts a client session pushes to the cluster ahead
 #: of its first batch (see :meth:`DiskArtifactStore.recent`).
 PREFETCH_RECENT_LIMIT = 8
 
 
-def _default_local_workers() -> int:
-    return max(1, (os.cpu_count() or 2) - 1)
-
-
-class DistributedBackend(CacheSettingsMixin):
+class DistributedBackend:
     """Fan items out to workers connected over the dist protocol.
 
     Args:
-        jobs: explicit chunking hint: ``evaluate_configs`` splits a
-            batch into at most this many chunks of whole generation
-            groups.  When omitted, the hint tracks the *live* worker
-            count once the cluster is up (an external cluster's size
-            has nothing to do with this host's core count), with the
-            spawn count — or the local-core default — as the
-            pre-connect floor.
         addr: ``host:port`` of an external persistent coordinator
             (``repro.cli serve``) to join as a client session; ``None``
             starts a private coordinator on an ephemeral loopback port
             (owner mode, purely local fan-out).
         spawn_workers: local worker processes to keep alive in owner
-            mode.  Rejected (non-zero) in client mode: a shared
-            cluster's workers are started with ``repro.cli worker`` or
+            mode (``None`` = :func:`~repro.exec.backend.default_jobs`).
+            Rejected (non-zero) in client mode: a shared cluster's
+            workers are started with ``repro.cli worker`` or
             ``repro.cli serve --workers``, never owned by one tenant.
-        cache_dir: shared cache directory handed to spawned workers
-            (and used locally) for the on-disk trace artifact store; in
-            client mode it is also the prefetch seed.
-        cache_max_entries: artifact/result store entry cap.
         worker_grace: seconds ``map`` waits for a first worker before
             failing a run pointed at an empty cluster.
         lease_timeout: seconds a leased job may stay unresolved before
@@ -91,11 +79,8 @@ class DistributedBackend(CacheSettingsMixin):
 
     def __init__(
         self,
-        jobs: int | None = None,
         addr: str | None = None,
         spawn_workers: int | None = None,
-        cache_dir: str | None = None,
-        cache_max_entries: int | None = None,
         worker_grace: float = 60.0,
         lease_timeout: float | None = None,
         respawn_budget: int | None = None,
@@ -113,14 +98,9 @@ class DistributedBackend(CacheSettingsMixin):
         if spawn_workers is None:
             # Nothing to connect remotely and nothing local would
             # deadlock; default to local fan-out when no addr is given.
-            spawn_workers = 0 if addr else _default_local_workers()
+            spawn_workers = 0 if addr else default_jobs()
         self.spawn_workers = spawn_workers
-        self._jobs_explicit = jobs if jobs and jobs > 0 else None
-        self._jobs_floor = self._jobs_explicit or (
-            spawn_workers or _default_local_workers()
-        )
         self.addr = addr
-        self._set_cache(cache_dir, cache_max_entries)
         self.worker_grace = worker_grace
         self.lease_timeout = lease_timeout
         self.respawn_budget = respawn_budget
@@ -128,7 +108,7 @@ class DistributedBackend(CacheSettingsMixin):
         self.secret = secret or None
         self.session_name = session
         self.name = (
-            f"dist[{self._jobs_floor}]" if addr is None
+            f"dist[{spawn_workers}]" if addr is None
             else f"dist-client@{addr}"
         )
         self.coordinator: Coordinator | None = None
@@ -138,20 +118,18 @@ class DistributedBackend(CacheSettingsMixin):
 
     @property
     def jobs(self) -> int:
-        """Chunking hint: live cluster size once workers have joined.
+        """Worker count the job layer chunks batches for.
 
-        An explicit ``jobs=`` always wins.  Otherwise, once the
-        session's status probes have counted the cluster's workers, the
-        hint is that live count; sizing chunks for an external cluster
-        from this host's ``cpu_count`` would be unrelated to reality.
-        Before the first worker is counted it falls back to the
-        spawn-count/core-count floor.
+        Owner mode: the spawn count, which the elastic pool keeps
+        alive.  Client mode: the live worker count from the session's
+        status probes (an external cluster's size has nothing to do
+        with this host's cores), :func:`default_jobs` until one answers.
         """
-        if self._jobs_explicit is not None:
-            return self._jobs_explicit
+        if not self.client_mode:
+            return max(1, self.spawn_workers)
         client = self.client
         live = client.workers_live() if client is not None else None
-        return live or self._jobs_floor
+        return live or default_jobs()
 
     # -- lifecycle ------------------------------------------------------
 
@@ -173,12 +151,8 @@ class DistributedBackend(CacheSettingsMixin):
             self._broken = True
             return None
         if self.spawn_workers:
-            pool = WorkerPool(
-                bound, self.spawn_workers,
-                cache_dir=self.cache_dir,
-                cache_max_entries=self.cache_max_entries,
-                respawn_budget=self.respawn_budget,
-            )
+            pool = WorkerPool(bound, self.spawn_workers,
+                              respawn_budget=self.respawn_budget)
             try:
                 pool.start()
             except (OSError, PermissionError):
@@ -228,16 +202,9 @@ class DistributedBackend(CacheSettingsMixin):
         return session
 
     def _prefetch_recent(self, session: ClientSession) -> None:
-        """Push the newest local artifacts before the first dispatch."""
-        spec = self.artifact_store_spec()
-        if spec is None:
-            return
-        from repro.sim.artifact import attach_artifact_store
-
-        root, cap = spec
-        try:
-            store = attach_artifact_store(root, max_entries=cap)
-        except ValueError:
+        """Push this process's newest artifacts before the first dispatch."""
+        store = active_artifact_store()
+        if store is None:
             return
         for artifact in store.recent(PREFETCH_RECENT_LIMIT):
             session.prefetch(artifact)

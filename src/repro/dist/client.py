@@ -166,8 +166,8 @@ class ClientSession:
             heartbeat.start()
             self._threads.append(heartbeat)
         obs.inc("session.opened")
-        # Prime the status snapshot (worker counts feed chunk hints and
-        # the empty-cluster grace).  This round-trip is also what
+        # Prime the status snapshot (worker counts feed client-mode
+        # chunking and the empty-cluster grace).  This round-trip is also what
         # surfaces an auth rejection here, at open time, instead of on
         # the first result wait.
         self._send_best_effort({"type": MSG_STATUS_REQUEST})

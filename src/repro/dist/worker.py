@@ -21,11 +21,11 @@ coordinator that hears nothing from a worker evicts it.
 Workers are launched either by ``python -m repro.cli worker --addr
 host:port`` (any machine that can reach the coordinator) or spawned
 locally by :class:`WorkerPool` /
-:class:`~repro.dist.backend.DistributedBackend`.  With a ``cache_dir``,
-the worker attaches the shared on-disk
-:class:`~repro.sim.artifact.DiskArtifactStore` before its first job, so
-every worker on the cluster reuses each trace artifact instead of
-recomputing it per process.
+:class:`~repro.dist.backend.DistributedBackend`.  Each evaluation chunk
+attaches its caller's on-disk
+:class:`~repro.sim.artifact.DiskArtifactStore`, so every worker on the
+cluster reuses each trace artifact instead of recomputing it per
+process; a ``cache_dir`` attaches a store before the first job.
 """
 
 from __future__ import annotations

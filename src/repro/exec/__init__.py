@@ -5,14 +5,13 @@ The tuning stack above this package is backend-agnostic — tuners hand the
 configurations per epoch, the evaluator dedups them, and whatever remains
 is dispatched here: :func:`evaluate_configs` groups it by generation
 fingerprint, maps one chunk of whole groups per worker, and each job
-hands every group to the platform's ``evaluate_group``.  :func:`backend_for` picks between
-in-process serial execution, a thread pool, a ``concurrent.futures``
-process pool and the distributed coordinator/worker service
-(:mod:`repro.dist`) from the ``backend=``/``jobs=`` knobs of
-:class:`repro.core.config.MicroGradConfig`;
-:class:`DiskResultCache` persists finished evaluations across runs, and
-every backend carries the run's ``cache_dir`` so workers share the
-on-disk trace-artifact store.
+hands every group to the platform's ``evaluate_group``; every worker
+attaches the caller's on-disk trace-artifact store.  :func:`backend_for`
+picks between in-process serial execution, a thread or process pool
+(one ``concurrent.futures`` class, sized by ``jobs=``) and the
+distributed coordinator/worker service (:mod:`repro.dist`, sized by its
+own workers) from the knobs of :class:`repro.core.config.MicroGradConfig`;
+:class:`DiskResultCache` persists finished evaluations across runs.
 """
 
 from repro.dist.backend import DistributedBackend

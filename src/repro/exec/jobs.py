@@ -33,7 +33,7 @@ from repro.codegen.wrapper import (
     generation_fingerprint,
 )
 from repro.exec.backend import ExecutionBackend
-from repro.sim.artifact import attach_artifact_store
+from repro.sim.artifact import active_artifact_store, attach_artifact_store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.config import MicroGradConfig
@@ -52,9 +52,9 @@ def _evaluate_chunk(platform, options: GenerationOptions,
     to ``platform.evaluate_group`` (simulators serve it from one
     config-batched shared pass).
 
-    ``store_spec`` (the backend's ``artifact_store_spec()``) attaches the
-    shared on-disk trace-artifact store in whichever process the chunk
-    runs; attach is idempotent, so reused workers pay nothing.
+    ``store_spec`` is the caller's artifact store as ``(root, max
+    entries)``: the chunk attaches the same on-disk store in whichever
+    process it runs; attach is idempotent, so reused workers pay nothing.
 
     Returns ``(metrics_lists, snapshot)`` — one list of ``count``
     metrics per group plus the chunk's metrics delta for the caller to
@@ -124,7 +124,8 @@ def evaluate_configs(
     chunk and every group is generated once.  Each chunk ships one
     ``(representative config, member count)`` pair per group to
     :func:`_evaluate_chunk`, and each group's metrics land back at its
-    members' input positions.
+    members' input positions.  Workers attach the caller's on-disk
+    artifact store, so every process shares one set of trace artifacts.
     """
     configs = list(configs)
     if not configs:
@@ -140,8 +141,10 @@ def evaluate_configs(
         [len(indices) for indices in groups],
         backend.jobs,
     )
-    job = partial(_evaluate_chunk, platform, options,
-                  backend.artifact_store_spec())
+    store = active_artifact_store()
+    store_spec = None if store is None else (str(store.root),
+                                             store.max_entries)
+    job = partial(_evaluate_chunk, platform, options, store_spec)
     group_metrics: list[list[dict[str, float]]] = []
     for chunk_metrics, snapshot in backend.map(job, chunks):
         obs.merge_remote(snapshot)

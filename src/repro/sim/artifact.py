@@ -561,9 +561,10 @@ def attach_artifact_store(
     Idempotent per root: re-attaching the same directory keeps the
     existing store (and its hit/miss counters), though an explicit
     ``max_entries`` is re-applied so a newly requested cap takes effect.
-    Execution backends call this in every worker when a ``cache_dir`` is
-    configured, and the ``repro.cli worker`` subcommand calls it at
-    startup, so one ``cache_dir=`` setting wires the whole cluster.
+    Every evaluation chunk attaches its caller's store wherever it runs
+    (:func:`repro.exec.jobs.evaluate_configs`), and the ``repro.cli
+    worker`` subcommand calls this at startup, so one ``cache_dir=``
+    setting wires the whole cluster.
     """
     global _ACTIVE_STORE
     root = Path(root)

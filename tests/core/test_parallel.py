@@ -133,6 +133,23 @@ class TestSimpointCloningParallel:
             assert a.knobs == b.knobs
             assert a.metrics == b.metrics
 
+    def test_dist_simpoint_clones_match_serial(self):
+        # Each pass runs serially on a worker, so its sub-config must
+        # not carry the dist settings a serial backend rejects.
+        config = dataclasses.replace(self._config(1, "dist"),
+                                     dist_workers=2)
+        mg_dist = MicroGrad(config)
+        mg_serial = MicroGrad(self._config(1, "serial"))
+        try:
+            dist = mg_dist.clone_simpoints(max_k=3)
+            serial = mg_serial.clone_simpoints(max_k=3)
+        finally:
+            mg_dist.close()
+            mg_serial.close()
+        assert [(r.knobs, r.metrics) for r in dist] == [
+            (r.knobs, r.metrics) for r in serial
+        ]
+
 
 class TestSubConfigConstruction:
     def test_clone_simpoints_preserves_every_config_field(self):

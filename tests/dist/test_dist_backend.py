@@ -2,18 +2,32 @@
 
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from repro.codegen.wrapper import GenerationOptions
+from repro.codegen.wrapper import GenerationOptions, generate_test_case
+from repro.core.config import MicroGradConfig
+from repro.core.framework import MicroGrad
 from repro.core.platform import PerformancePlatform
 from repro.dist.backend import DistributedBackend
 from repro.dist.client import ClientSession
 from repro.dist.coordinator import Coordinator
 from repro.dist.protocol import dumps_payload, loads_payload
 from repro.dist.worker import run_worker
-from repro.exec.backend import SerialBackend, backend_for
+from repro.exec.backend import (
+    ProcessPoolBackend,
+    SerialBackend,
+    backend_for,
+    default_jobs,
+)
 from repro.exec.jobs import evaluate_configs
+from repro.sim.artifact import (
+    DiskArtifactStore,
+    TraceArtifact,
+    attach_artifact_store,
+    detach_artifact_store,
+)
 from repro.sim.config import core_by_name
 from tests.dist.conftest import wait_all
 
@@ -86,12 +100,22 @@ class TestDistributedBackend:
         backend.close()
 
     def test_name_and_jobs(self):
-        backend = DistributedBackend(jobs=3, spawn_workers=2)
+        # Owner mode chunks by the spawn count the elastic pool keeps
+        # alive.
+        backend = DistributedBackend(spawn_workers=3)
         assert backend.name == "dist[3]"
         assert backend.jobs == 3
         backend.close()
+        assert DistributedBackend().jobs == default_jobs()
+        # Client mode chunks by the session's live worker count, and by
+        # default_jobs() until a status probe has answered.
         addressed = DistributedBackend(addr="127.0.0.1:0", spawn_workers=0)
         assert "@127.0.0.1:0" in addressed.name
+        assert addressed.client is None
+        assert addressed.jobs == default_jobs()
+        addressed.client = SimpleNamespace(workers_live=lambda: 5)
+        assert addressed.jobs == 5
+        addressed.client = None
         addressed.close()
 
     def test_external_worker_joins(self):
@@ -129,16 +153,34 @@ class TestDistributedBackend:
         finally:
             backend.close()
 
-    def test_backend_for_propagates_cache_settings(self, tmp_path):
-        for name in ("serial", "thread", "process", "dist", "auto"):
-            backend = backend_for(name, jobs=2, cache_dir=str(tmp_path),
-                                  cache_max_entries=5)
-            assert backend.cache_dir == str(tmp_path)
-            assert backend.cache_max_entries == 5
-            root, cap = backend.artifact_store_spec()
-            assert root.endswith("artifacts")
-            assert cap == 5
+    @pytest.mark.parametrize("make_backend", [
+        lambda: ProcessPoolBackend(jobs=2),
+        lambda: DistributedBackend(spawn_workers=2),
+    ], ids=["process", "dist"])
+    def test_workers_attach_the_callers_store(self, tmp_path, make_backend):
+        platform = PerformancePlatform(core_by_name("small"),
+                                       instructions=2_000)
+        options = GenerationOptions(loop_size=80)
+        # Distinct ADD:LD ratios: every config is its own program, and
+        # the two batches share none, so each batch builds anew.
+        configs = [{"ADD": n + 1, "LD": 8 - n, "REG_DIST": 2}
+                   for n in range(8)]
+        root = tmp_path / "artifacts"
+        detach_artifact_store()
+        backend = make_backend()
+        try:
+            # No store attached: the workers (started here, so they
+            # inherit nothing) write none.
+            evaluate_configs(backend, platform, options, configs[:4])
+            assert not root.exists()
+            # The caller attaches one: the same, already running
+            # workers now write every artifact they build into it.
+            attach_artifact_store(root)
+            evaluate_configs(backend, platform, options, configs[4:])
+        finally:
             backend.close()
+            detach_artifact_store()
+        assert len(DiskArtifactStore(root)) == 4
 
     def test_unknown_backend_lists_valid_names(self):
         with pytest.raises(ValueError, match="serial|thread|process|dist"):
@@ -168,6 +210,69 @@ class TestDistributedBackend:
         backend._broken = True  # simulate an unbindable sandbox
         assert backend.map(_square, [4]) == [16]
         backend.close()
+
+
+class TestClientPrefetch:
+    @pytest.mark.parametrize("attached", [True, False])
+    def test_first_map_pushes_the_attached_store(self, tmp_path, attached):
+        artifacts = [
+            TraceArtifact.build(generate_test_case(
+                {"ADD": n + 1, "LD": 1, "REG_DIST": 2},
+                GenerationOptions(loop_size=60),
+            ), 2_000)
+            for n in range(3)
+        ]
+        detach_artifact_store()
+        if attached:
+            store = attach_artifact_store(tmp_path)
+            for artifact in artifacts:
+                store.put(artifact)
+        cluster = Coordinator()
+        addr = cluster.start()
+        worker = threading.Thread(target=run_worker, args=(addr,),
+                                  daemon=True)
+        worker.start()
+        backend = DistributedBackend(addr=addr, worker_grace=20.0)
+        try:
+            assert backend.map(_square, [3]) == [9]
+            with cluster._cv:
+                held = {(fingerprint, instructions) for
+                        fingerprint, instructions, _ in
+                        cluster._artifacts.values()}
+        finally:
+            backend.close()
+            cluster.shutdown()
+            worker.join(timeout=5)
+            detach_artifact_store()
+        assert not worker.is_alive()
+        expected = {(artifact.fingerprint, artifact.instructions)
+                    for artifact in artifacts}
+        assert held == (expected if attached else set())
+
+
+class TestMicroGradChunking:
+    def test_dist_workers_each_get_a_chunk_with_default_jobs(self):
+        """``--backend dist --dist-workers 2`` without ``--jobs`` ships
+        one chunk per worker: two per batch, not one."""
+        def run(**execution):
+            mg = MicroGrad(MicroGradConfig(
+                use_case="stress", metrics=("ipc",), core="small",
+                max_epochs=2, seed=1, instructions=4_000, loop_size=120,
+                **execution,
+            ))
+            try:
+                return mg.run()
+            finally:
+                mg.close()
+
+        serial = run(backend="serial")
+        dist = run(backend="dist", dist_workers=2)
+        assert serial.run_report["counters"][
+            "engine_path.evaluate.batch"] == 2
+        assert dist.run_report["counters"][
+            "engine_path.evaluate.batch"] == 4
+        assert dist.metrics == serial.metrics
+        assert dist.knobs == serial.knobs
 
 
 class TestBitIdentity:

@@ -1,5 +1,7 @@
 """Unit tests for the execution backends (ordering, selection, chunking)."""
 
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
 import pytest
 
 from repro.exec.backend import (
@@ -14,6 +16,42 @@ from repro.exec.jobs import chunk_groups
 
 def _square(x):
     return x * x
+
+
+def _fail_initializer():
+    raise RuntimeError("worker cannot start")
+
+
+class _FirstPoolBreaks:
+    """Executor factory whose first pool is broken: every worker's
+    initializer raises, so its ``map`` raises ``BrokenExecutor``."""
+
+    def __init__(self, executor):
+        self.executor = executor
+        self.pools = []
+
+    def __call__(self, max_workers):
+        initializer = None if self.pools else _fail_initializer
+        pool = self.executor(max_workers=max_workers,
+                             initializer=initializer)
+        self.pools.append(pool)
+        return pool
+
+
+def _check_broken_pool_falls_back(backend, executor):
+    factory = _FirstPoolBreaks(executor)
+    backend.executor = factory
+    try:
+        # The broken pool's batch runs in-process, in order...
+        assert backend.map(_square, [1, 2, 3]) == [1, 4, 9]
+        # ...and the pool is dropped, not reused...
+        assert backend._pool is None
+        # ...so the next batch starts a fresh one.
+        assert backend.map(_square, [4, 5]) == [16, 25]
+        assert len(factory.pools) == 2
+        assert backend._pool is factory.pools[1]
+    finally:
+        backend.close()
 
 
 class TestSerialBackend:
@@ -66,6 +104,10 @@ class TestThreadBackend:
     def test_name_reports_workers(self):
         assert ThreadBackend(jobs=3).name == "thread[3]"
 
+    def test_broken_pool_falls_back_in_process(self):
+        _check_broken_pool_falls_back(ThreadBackend(jobs=2),
+                                      ThreadPoolExecutor)
+
 
 class TestProcessPoolBackend:
     def test_maps_in_order(self):
@@ -91,6 +133,20 @@ class TestProcessPoolBackend:
         assert backend.map(_square, [1, 2]) == [1, 4]
         backend.close()
         assert backend.map(_square, [2, 3]) == [4, 9]
+        backend.close()
+
+    def test_broken_pool_falls_back_in_process(self):
+        _check_broken_pool_falls_back(ProcessPoolBackend(jobs=2),
+                                      ProcessPoolExecutor)
+
+    def test_pool_that_cannot_start_runs_in_process(self):
+        def no_processes(max_workers):
+            raise PermissionError("sandbox forbids fork")
+
+        backend = ProcessPoolBackend(jobs=2)
+        backend.executor = no_processes
+        assert backend.map(_square, [1, 2, 3]) == [1, 4, 9]
+        assert backend._pool is None
         backend.close()
 
 
