@@ -6,18 +6,20 @@ GA operators over long per-instruction genomes.  This bench runs both on
 the same worst-case-IPC task and compares outcome per evaluation spent.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.codegen.instlevel import (
     FixedCodeParams,
-    GenomeEvaluator,
     InstructionLevelSpace,
+    evaluate_genome,
 )
 from repro.core.framework import MicroGrad
 from repro.core.platform import PerformancePlatform
 from repro.sim import LARGE_CORE
-from repro.tuning.genetic import GAParams
-from repro.tuning.instlevel_ga import InstructionLevelGeneticTuner
+from repro.tuning.evaluator import Evaluator
+from repro.tuning.genetic import GAParams, GeneticTuner
 from repro.tuning.loss import StressLoss
 
 from benchmarks.harness import BUDGETS, print_header, stress_config
@@ -33,20 +35,20 @@ def instruction_level_result(abstract_result):
     platform = PerformancePlatform(
         LARGE_CORE, instructions=BUDGETS.stress_instructions
     )
-    space = InstructionLevelSpace(length=BUDGETS.stress_loop)
-    evaluator = GenomeEvaluator(
-        platform.evaluate,
-        FixedCodeParams(
-            dependency_distance=10,
-            mem_footprint_bytes=16 * 1024,
-            branch_random_ratio=0.1,
-        ),
+    code = FixedCodeParams(
+        dependency_distance=10,
+        mem_footprint_bytes=16 * 1024,
+        branch_random_ratio=0.1,
+    )
+    evaluator = Evaluator(
+        InstructionLevelSpace(length=BUDGETS.stress_loop),
+        partial(evaluate_genome, platform.evaluate, code),
     )
     # Equal evaluation budget to the abstract-model GD run.
     budget = max(1, abstract_result.tuning.requested_evaluations)
     epochs = max(1, budget // GAParams().population_size)
-    tuner = InstructionLevelGeneticTuner(
-        space, evaluator, StressLoss("ipc"),
+    tuner = GeneticTuner(
+        evaluator, StressLoss("ipc"),
         GAParams(max_epochs=epochs), seed=0,
     )
     return tuner.run()

@@ -43,7 +43,6 @@ def clone_per_simpoint(benchmark: str) -> None:
         application=benchmark,
         core="large",
         max_epochs=15,
-        use_simpoints=True,
         seed=0,
     )
     results = MicroGrad(config).clone_simpoints(max_k=4)

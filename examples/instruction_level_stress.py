@@ -5,24 +5,28 @@ Section II-B1 of the paper contrasts the abstract workload model (few
 well-defined knobs, MicroGrad's choice) with the instruction-level model
 (GeST: per-instruction genomes tuned by a GA).  This example runs both on
 the same worst-case-IPC task with an equal evaluation budget and shows
-why the paper picked the abstract model.
+why the paper picked the abstract model.  Both run on the same tuner
+machinery: the instruction-level genome space plugs into the Table I
+``GeneticTuner`` and ``Evaluator`` the abstract model's GA uses.
 
 Usage::
 
     python examples/instruction_level_stress.py
 """
 
+from functools import partial
+
 from repro import MicroGrad, MicroGradConfig
 from repro.codegen.instlevel import (
     FixedCodeParams,
-    GenomeEvaluator,
     InstructionLevelSpace,
+    evaluate_genome,
 )
 from repro.core.platform import PerformancePlatform
 from repro.sim import LARGE_CORE
 from repro.tuning.brute import CLASS_KNOB_NAMES
-from repro.tuning.genetic import GAParams
-from repro.tuning.instlevel_ga import InstructionLevelGeneticTuner
+from repro.tuning.evaluator import Evaluator
+from repro.tuning.genetic import GAParams, GeneticTuner
 from repro.tuning.loss import StressLoss
 
 
@@ -45,16 +49,14 @@ def run_abstract_model():
 
 def run_instruction_level(evaluation_budget: int):
     platform = PerformancePlatform(LARGE_CORE, instructions=8_000)
-    space = InstructionLevelSpace(length=300)
-    evaluator = GenomeEvaluator(
-        platform.evaluate,
-        FixedCodeParams(dependency_distance=10,
-                        mem_footprint_bytes=16 * 1024,
-                        branch_random_ratio=0.1),
-    )
+    code = FixedCodeParams(dependency_distance=10,
+                           mem_footprint_bytes=16 * 1024,
+                           branch_random_ratio=0.1)
+    evaluator = Evaluator(InstructionLevelSpace(length=300),
+                          partial(evaluate_genome, platform.evaluate, code))
     generations = max(1, evaluation_budget // GAParams().population_size)
-    tuner = InstructionLevelGeneticTuner(
-        space, evaluator, StressLoss("ipc"),
+    tuner = GeneticTuner(
+        evaluator, StressLoss("ipc"),
         GAParams(max_epochs=generations), seed=0,
     )
     return tuner.run()

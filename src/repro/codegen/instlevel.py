@@ -6,19 +6,23 @@ instruction-level model of GeST/Audit (per-instruction control, tuned
 directly on the assembly).  This module implements the latter so the
 paper's model comparison can be reproduced on the same substrate:
 
-* a genome is an explicit mnemonic sequence (one gene per static
-  instruction slot);
+* a genome names one mnemonic per static instruction slot;
 * :class:`SequenceProfilePass` materializes a genome into the loop body,
   after which the ordinary register/memory/branch passes apply;
-* :class:`InstructionLevelSpace` provides the GA operators for which the
-  paper says "important GA operators like crossover are much more
-  valuable in an instruction-level model" — crossover splices
-  instruction subsequences, mutation rewrites single slots.
+* :class:`InstructionLevelSpace` is the genome lattice (a gene is its
+  slot's alphabet index), so the Table I
+  :class:`~repro.tuning.genetic.GeneticTuner` tunes it like a knob space:
+  crossover splices instruction subsequences and mutation rewrites single
+  slots, the operators the paper calls "much more valuable in an
+  instruction-level model";
+* :func:`evaluate_genome` is the evaluator's config function, bound as
+  ``partial(evaluate_genome, platform.evaluate, params)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -115,7 +119,9 @@ def genome_to_program(
 
 
 class InstructionLevelSpace:
-    """Genome space + GA operators for the instruction-level model.
+    """Genome lattice of the instruction-level model: the
+    :class:`~repro.tuning.knobs.KnobSpace` interface, with gene ``i``
+    slot ``i``'s index into ``alphabet``.
 
     Attributes:
         length: genome length (static instructions; Table I's
@@ -134,47 +140,28 @@ class InstructionLevelSpace:
         self.length = length
         self.alphabet = tuple(alphabet)
 
-    def random_genome(self, rng: np.random.Generator) -> tuple[str, ...]:
-        """A uniformly random mnemonic sequence."""
-        picks = rng.integers(0, len(self.alphabet), self.length)
-        return tuple(self.alphabet[i] for i in picks)
+    def __len__(self) -> int:
+        return self.length
 
-    def crossover(self, a: tuple[str, ...], b: tuple[str, ...],
-                  rng: np.random.Generator) -> tuple[str, ...]:
-        """Single-point crossover: splice an instruction subsequence."""
-        point = int(rng.integers(1, self.length))
-        return a[:point] + b[point:]
+    def upper_bounds(self) -> np.ndarray:
+        """Maximum gene value per slot: the last alphabet index."""
+        return np.full(self.length, len(self.alphabet) - 1, dtype=float)
 
-    def mutate(self, genome: tuple[str, ...], rate: float,
-               rng: np.random.Generator) -> tuple[str, ...]:
-        """Rewrite each slot with probability ``rate``."""
-        out = list(genome)
-        for i in range(len(out)):
-            if rng.random() < rate:
-                out[i] = self.alphabet[int(rng.integers(0, len(self.alphabet)))]
-        return tuple(out)
+    def random_vector(self, rng: np.random.Generator) -> np.ndarray:
+        """A uniformly random genome (one alphabet index per slot)."""
+        return rng.integers(0, len(self.alphabet), self.length).astype(float)
+
+    def materialize(self, genes: np.ndarray) -> dict:
+        """The mnemonic sequence a genome encodes, as ``{"GENOME": ...}``."""
+        if len(genes) != self.length:
+            raise ValueError(f"expected {self.length} genes, got {len(genes)}")
+        return {"GENOME": tuple(self.alphabet[int(g)] for g in genes)}
 
 
-class GenomeEvaluator:
-    """Memoizing genome -> metrics evaluator (Evaluator duck-type)."""
-
-    def __init__(self, evaluate_program, params: FixedCodeParams | None = None):
-        self._evaluate_program = evaluate_program
-        self.params = params or FixedCodeParams()
-        self._cache: dict[tuple[str, ...], dict[str, float]] = {}
-        self.requested_evaluations = 0
-        self.unique_evaluations = 0
-
-    def evaluate_genome(self, genome: tuple[str, ...]) -> dict[str, float]:
-        self.requested_evaluations += 1
-        if genome in self._cache:
-            return self._cache[genome]
-        program = genome_to_program(genome, self.params)
-        metrics = self._evaluate_program(program)
-        self.unique_evaluations += 1
-        self._cache[genome] = metrics
-        return metrics
-
-    def reset_counters(self) -> None:
-        self.requested_evaluations = 0
-        self.unique_evaluations = 0
+def evaluate_genome(
+    evaluate_program: Callable[[Program], dict[str, float]],
+    params: FixedCodeParams | None,
+    config: dict,
+) -> dict[str, float]:
+    """Metrics of the program a ``{"GENOME": ...}`` config encodes."""
+    return evaluate_program(genome_to_program(config["GENOME"], params))

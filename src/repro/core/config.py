@@ -48,7 +48,6 @@ class MicroGradConfig:
             application's dominant simpoint phase — the paper generates
             clones on 100M-instruction simpoints; ``"combined"`` targets
             the whole application's phase-weighted metrics instead.
-        use_simpoints: clone per simpoint instead of whole application.
         maximize: stress direction (True for power viruses).
         tuner: ``"gd"`` (default), ``"ga"`` or ``"random"``.
         accuracy_target: stop when mean cloning accuracy reaches this.
@@ -112,7 +111,6 @@ class MicroGradConfig:
     targets: dict = field(default_factory=dict)
     application: str | None = None
     application_scope: str = "simpoint"
-    use_simpoints: bool = False
     maximize: bool = False
     tuner: str = "gd"
     accuracy_target: float = 0.99

@@ -353,7 +353,6 @@ class MicroGrad:
                 self.config,
                 targets={m: targets[m] for m in self.config.metrics},
                 application=None,
-                use_simpoints=False,
                 # Simpoints fan out across this instance's backend, and
                 # each cloning pass runs serially wherever it lands (the
                 # parallelism budget is spent at the simpoint level), so

@@ -13,7 +13,11 @@ from typing import Protocol, runtime_checkable
 
 from repro.isa.program import Program
 from repro.power.mcpat import PowerModel
-from repro.sim.artifact import TraceArtifact, artifact_for
+from repro.sim.artifact import (
+    GLOBAL_ARTIFACT_CACHE,
+    TraceArtifact,
+    artifact_for,
+)
 from repro.sim.config import CoreConfig, core_by_name
 from repro.sim.simulator import DEFAULT_INSTRUCTIONS, Simulator
 
@@ -245,6 +249,8 @@ class CompositePlatform:
     :class:`~repro.sim.artifact.TraceArtifact` per distinct instruction
     budget, so a perf + power + droop composite expands the trace and
     simulates each event stream once per program, not once per member.
+    After the members run, each shared artifact is persisted to the
+    attached on-disk artifact store, as a lone simulator's would be.
     """
 
     def __init__(self, platforms: list[EvaluationPlatform]):
@@ -277,6 +283,11 @@ class CompositePlatform:
                 group = platform.evaluate_group(program, count)
             for slot, metrics in zip(merged, group):
                 slot.update(metrics)
+        for artifact in artifacts.values():
+            # Members handed a prebuilt artifact do not persist it, so
+            # the cache artifact_for used captures their memoized stages
+            # (once: it skips unchanged artifacts; no-op without a store).
+            GLOBAL_ARTIFACT_CACHE.persist(artifact)
         return merged
 
 

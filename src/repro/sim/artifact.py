@@ -59,6 +59,9 @@ from repro.sim.trace import ExpandedTrace, expand
 #: this many iterations behave identically cold or warm (they stream
 #: through caches far smaller than their footprint).
 MAX_WARMUP_ITERATIONS = 400
+#: Leading share of the iteration budget the simulator spends warming
+#: caches and predictors before the measured window.
+WARMUP_FRACTION = 0.2
 #: Measured-window bounds (loop iterations).  The generated loops are
 #: periodic, so a short steady-state window yields exact rates.
 MIN_MEASURE_ITERATIONS = 24

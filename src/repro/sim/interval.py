@@ -7,17 +7,16 @@ into a cycle count — the standard cycle-approximate substitute for a
 detailed out-of-order simulator, preserving Gem5-like sensitivities.
 
 :func:`compute_cycles` evaluates one core; :func:`compute_cycles_batch`
-evaluates a whole sweep as numpy column arrays (stage 3 of the staged
-pipeline), bit-identical to the scalar path: every arithmetic step is
-performed in the same order on the same IEEE-754 doubles.
+is stage 3 of the staged pipeline, one :func:`compute_cycles` call per
+core of a sweep.  A stage-3 batch is small (nearly always one core during
+tuning, 16 in the benchmark's core sweep): too small for a numpy column
+layout to pay for itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Sequence
-
-import numpy as np
 
 from repro import obs
 from repro.isa.instructions import InstrClass
@@ -110,7 +109,7 @@ def throughput_cpi(core: CoreConfig, class_counts: dict[InstrClass, int],
 
 @dataclass
 class IntervalInputs:
-    """One core's inputs to the batched interval model.
+    """One core's inputs to the interval model.
 
     ``Simulator.run_many`` produces one of these per core config from a
     shared :class:`~repro.sim.artifact.TraceArtifact` (stages 1-2) and
@@ -132,116 +131,26 @@ def compute_cycles_batch(
 ) -> list[IntervalResult]:
     """Evaluate a batch of core configs through the interval model.
 
-    The batch is laid out as numpy column arrays — one element per core —
-    and every model term is computed as one vector expression, so stage 3
-    costs a fixed number of array passes instead of a Python loop over
-    cores.  Each result is bit-identical to a lone
-    :func:`compute_cycles` call: the vector expressions perform exactly
-    the scalar path's operations, in its order, on IEEE-754 doubles.
-
     Returns:
-        One :class:`IntervalResult` per input, in input order.
+        One :class:`IntervalResult` per input, in input order — each the
+        :func:`compute_cycles` result for that input's fields.
     """
     if not batch:
         return []
     with obs.span("interval.batch"):
-        return _compute_cycles_batch(batch)
-
-
-def _compute_cycles_batch(
-    batch: Sequence[IntervalInputs],
-) -> list[IntervalResult]:
-    total = np.array(
-        [inputs.total_instructions for inputs in batch], dtype=np.int64
-    )
-    if np.any(total <= 0):
-        raise ValueError("total_instructions must be positive")
-
-    cores = [inputs.core for inputs in batch]
-    as_i64 = lambda get: np.array([get(c) for c in cores], dtype=np.int64)
-    lsq = as_i64(lambda c: c.lsq)
-    l1d_latency = as_i64(lambda c: c.l1d.latency)
-    l2_latency = as_i64(lambda c: c.l2.latency)
-    memory_latency = as_i64(lambda c: c.memory_latency)
-    mispredict_penalty = as_i64(lambda c: c.mispredict_penalty)
-
-    # Throughput bounds via the single scalar definition, stacked as one
-    # (bound, core) matrix in BOUND_NAMES order (= dict order).
-    bounds = np.array([
-        list(throughput_cpi(
-            inputs.core, inputs.class_counts, inputs.total_instructions
-        ).values())
-        for inputs in batch
-    ]).T
-    bounds_max = np.max(bounds, axis=0)
-    binding_index = np.argmax(bounds, axis=0)
-
-    dep = np.array(
-        [inputs.dep_cycles_per_iteration for inputs in batch],
-        dtype=np.float64,
-    )
-    loop = np.maximum(
-        1, np.array([inputs.loop_size for inputs in batch], dtype=np.int64)
-    )
-    dep_cpi = dep / loop
-    base_cpi = np.maximum(bounds_max, dep_cpi)
-    base_cycles = total * base_cpi
-
-    dependency_distance = np.array(
-        [inputs.dependency_distance for inputs in batch], dtype=np.float64
-    )
-    exposed = 1.0 + 0.6 * np.maximum(0.0, dependency_distance - 1.0)
-    # Scalar pow keeps the fractional-power term bit-identical to the
-    # scalar path regardless of numpy's pow implementation.
-    exposed = exposed * np.array(
-        [max(1, inputs.parallel_streams) ** 0.25 for inputs in batch],
-        dtype=np.float64,
-    )
-    mlp = np.maximum(1.0, np.minimum(exposed, lsq / 4.0))
-    l2_fill = np.maximum(0, l2_latency - l1d_latency)
-
-    misses = [inputs.misses for inputs in batch]
-    miss = lambda name: np.array(
-        [getattr(m, name) for m in misses], dtype=np.int64
-    )
-    load_stall = (
-        miss("load_l1_misses") * l2_fill
-        + miss("load_l2_misses") * memory_latency
-    ) / mlp
-    store_stall = 0.15 * (
-        miss("store_l1_misses") * l2_fill
-        + miss("store_l2_misses") * memory_latency
-    ) / mlp
-    branch_stall = miss("branch_mispredicts") * mispredict_penalty
-    icache_stall = (
-        miss("icache_l1_misses") * l2_latency
-        + miss("icache_l2_misses") * memory_latency
-    )
-    tlb_stall = (
-        miss("dtlb_misses") * TLB_WALK_LATENCY / np.maximum(1.0, mlp / 2.0)
-    )
-    cycles = (base_cycles + load_stall + store_stall + branch_stall
-              + icache_stall + tlb_stall)
-
-    dependency_bound = dep_cpi > bounds_max
-    return [
-        IntervalResult(
-            cycles=float(cycles[k]),
-            breakdown={
-                "base": float(base_cycles[k]),
-                "load_miss": float(load_stall[k]),
-                "store_miss": float(store_stall[k]),
-                "branch_mispredict": int(branch_stall[k]),
-                "icache": int(icache_stall[k]),
-                "dtlb": float(tlb_stall[k]),
-            },
-            binding_bound=(
-                "dependency" if dependency_bound[k]
-                else BOUND_NAMES[binding_index[k]]
-            ),
-        )
-        for k in range(len(batch))
-    ]
+        return [
+            compute_cycles(
+                inputs.core,
+                inputs.total_instructions,
+                inputs.class_counts,
+                inputs.dep_cycles_per_iteration,
+                inputs.loop_size,
+                inputs.misses,
+                dependency_distance=inputs.dependency_distance,
+                parallel_streams=inputs.parallel_streams,
+            )
+            for inputs in batch
+        ]
 
 
 def compute_cycles(

@@ -25,6 +25,7 @@ from __future__ import annotations
 from repro import obs
 from repro.isa.program import Program
 from repro.sim.artifact import (
+    WARMUP_FRACTION,
     TraceArtifact,
     TraceArtifactCache,
     artifact_for,
@@ -193,7 +194,6 @@ class Simulator:
         self,
         program: Program,
         instructions: int = DEFAULT_INSTRUCTIONS,
-        warmup_fraction: float = 0.2,
         artifact: TraceArtifact | None = None,
         engine: str | None = None,
     ) -> SimStats:
@@ -202,9 +202,10 @@ class Simulator:
         Args:
             program: generated test case (endless loop body).
             instructions: dynamic instruction budget; rounded to whole
-                loop iterations (minimum 2).
-            warmup_fraction: leading fraction of iterations used to warm
-                caches and predictors, excluded from the measured window.
+                loop iterations (minimum 2).  The leading
+                :data:`~repro.sim.artifact.WARMUP_FRACTION` of them (or
+                more, until the streams wrap) warms caches and
+                predictors outside the measured window.
             artifact: optionally, a prebuilt trace artifact for this
                 (program, budget) pair — e.g. one shared by a
                 :class:`~repro.core.platform.CompositePlatform`.
@@ -219,7 +220,6 @@ class Simulator:
             [self.core],
             program,
             instructions=instructions,
-            warmup_fraction=warmup_fraction,
             artifact=artifact,
             artifact_cache=self._artifacts,
             engine=engine,
@@ -230,7 +230,6 @@ class Simulator:
         program: Program,
         count: int,
         instructions: int = DEFAULT_INSTRUCTIONS,
-        warmup_fraction: float = 0.2,
         artifact: TraceArtifact | None = None,
         engine: str | None = None,
     ) -> list[SimStats]:
@@ -247,7 +246,6 @@ class Simulator:
             [self.core] * count,
             program,
             instructions=instructions,
-            warmup_fraction=warmup_fraction,
             artifact=artifact,
             artifact_cache=self._artifacts,
             engine=engine,
@@ -259,7 +257,6 @@ class Simulator:
         cores: list[CoreConfig],
         program: Program,
         instructions: int = DEFAULT_INSTRUCTIONS,
-        warmup_fraction: float = 0.2,
         artifact: TraceArtifact | None = None,
         artifact_cache: TraceArtifactCache | None = None,
         engine: str | None = None,
@@ -281,7 +278,6 @@ class Simulator:
             cores: core configurations to evaluate, in order.
             program: generated test case (endless loop body).
             instructions: dynamic instruction budget per evaluation.
-            warmup_fraction: warmup share of the iteration budget.
             artifact: optional prebuilt artifact for (program, budget).
             artifact_cache: cache to fetch/build the artifact through;
                 defaults to the process-wide artifact cache.
@@ -294,8 +290,8 @@ class Simulator:
         """
         with obs.span("sim.run_many"):
             return cls._run_many(
-                cores, program, instructions, warmup_fraction,
-                artifact, artifact_cache, engine,
+                cores, program, instructions, artifact, artifact_cache,
+                engine,
             )
 
     @classmethod
@@ -304,7 +300,6 @@ class Simulator:
         cores: list[CoreConfig],
         program: Program,
         instructions: int,
-        warmup_fraction: float,
         artifact: TraceArtifact | None,
         artifact_cache: TraceArtifactCache | None,
         engine: str | None,
@@ -337,7 +332,7 @@ class Simulator:
                 f"(fingerprint {artifact.fingerprint})"
             )
         schedules = [
-            artifact.schedule(core, warmup_fraction) for core in cores
+            artifact.schedule(core, WARMUP_FRACTION) for core in cores
         ]
         warmups = [w for w, _ in schedules]
         measures = [m for _, m in schedules]

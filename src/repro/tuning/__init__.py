@@ -26,7 +26,6 @@ from repro.tuning.evaluator import Evaluator
 from repro.tuning.base import EpochRecord, Tuner, TuningResult
 from repro.tuning.gradient import GDParams, GradientDescentTuner
 from repro.tuning.genetic import GAParams, GeneticTuner
-from repro.tuning.instlevel_ga import InstructionLevelGeneticTuner
 from repro.tuning.brute import BruteForceSearch, class_mix_configs
 from repro.tuning.random_search import RandomSearch
 
@@ -49,7 +48,6 @@ __all__ = [
     "GDParams",
     "GeneticTuner",
     "GAParams",
-    "InstructionLevelGeneticTuner",
     "BruteForceSearch",
     "class_mix_configs",
     "RandomSearch",

@@ -37,7 +37,10 @@ class Evaluator:
     """Maps knob position vectors to metric dicts.
 
     Args:
-        knob_space: the space vectors live in.
+        knob_space: the space vectors live in — a
+            :class:`~repro.tuning.knobs.KnobSpace`, or any lattice with
+            its ``materialize`` (e.g. an
+            :class:`~repro.codegen.instlevel.InstructionLevelSpace`).
         evaluate_config: config dict -> metric dict (wired by the core
             framework to generation + simulation + power estimation).
         cache: memoize identical materialized configurations.

@@ -38,6 +38,11 @@ class GeneticTuner(Tuner):
     tournament-of-5 on loss; crossover is single-point at a random
     position; mutation redraws each gene uniformly with 3% probability;
     the best individual survives unchanged when elitism is on.
+
+    The lattice is the evaluator's space: a knob space for the abstract
+    workload model, or an
+    :class:`~repro.codegen.instlevel.InstructionLevelSpace`, whose genes
+    are instruction slots, for the GeST-style instruction-level model.
     """
 
     def __init__(

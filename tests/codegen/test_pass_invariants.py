@@ -102,9 +102,10 @@ class TestEveryPassKeepsStructure:
     @given(st.integers(2, 60), st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)
     def test_instruction_level_pass_list(self, length, seed):
-        genome = InstructionLevelSpace(length).random_genome(
-            np.random.default_rng(seed)
-        )
+        space = InstructionLevelSpace(length)
+        genome = space.materialize(
+            space.random_vector(np.random.default_rng(seed))
+        )["GENOME"]
         expected = program_fingerprint(genome_to_program(genome))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(instlevel, "Synthesizer", CheckedSynthesizer)

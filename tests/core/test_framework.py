@@ -115,7 +115,6 @@ class TestSimpointCloning:
             max_epochs=3,
             loop_size=150,
             instructions=3_000,
-            use_simpoints=True,
         )
         results = MicroGrad(config).clone_simpoints(max_k=3)
         assert len(results) >= 2  # bzip2 has two phases

@@ -114,7 +114,6 @@ class TestSimpointCloningParallel:
             max_epochs=2,
             loop_size=120,
             instructions=2_000,
-            use_simpoints=True,
             jobs=jobs,
             backend=backend,
         )
@@ -162,13 +161,11 @@ class TestSubConfigConstruction:
             max_epochs=2,
             loop_size=123,
             instructions=2_000,
-            use_simpoints=True,
             fixed_knobs={"B_PATTERN": 0.2},
             accuracy_target=0.9,
         )
         sub = dataclasses.replace(
             config, targets={"ipc": 1.0}, application=None,
-            use_simpoints=False,
         )
         # Fields untouched by the per-simpoint overrides survive intact.
         assert sub.loop_size == 123

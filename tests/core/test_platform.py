@@ -3,6 +3,7 @@
 import pytest
 
 from repro.codegen import generate_test_case
+from repro.codegen.wrapper import GenerationOptions
 from repro.core.platform import (
     CompositePlatform,
     EvaluationPlatform,
@@ -11,6 +12,11 @@ from repro.core.platform import (
     platform_for,
 )
 from repro.sim import LARGE_CORE, SMALL_CORE
+from repro.sim.artifact import (
+    GLOBAL_ARTIFACT_CACHE,
+    attach_artifact_store,
+    detach_artifact_store,
+)
 from repro.sim.stats import METRIC_KEYS
 
 
@@ -58,6 +64,30 @@ class TestCompositePlatform:
         metrics = composite.evaluate(program)
         assert "ipc" in metrics
         assert "dynamic_power" in metrics
+
+    @pytest.mark.parametrize("members", [
+        [PerformancePlatform],
+        [PerformancePlatform, PowerPlatform],
+    ], ids=["perf", "perf+power"])
+    def test_persists_each_artifact_to_the_attached_store(
+        self, tmp_path, members
+    ):
+        composite = CompositePlatform(
+            [cls(SMALL_CORE, instructions=4_000) for cls in members]
+        )
+        detach_artifact_store()
+        GLOBAL_ARTIFACT_CACHE.clear()  # every program below is new
+        store = attach_artifact_store(tmp_path)
+        try:
+            for n in range(3):
+                composite.evaluate(generate_test_case(
+                    dict(ADD=3, LD=2, SD=1, REG_DIST=n + 2, MEM_SIZE=8),
+                    GenerationOptions(loop_size=70 + n),
+                ))
+            # One entry per new program, however many members shared it.
+            assert len(store) == 3
+        finally:
+            detach_artifact_store()
 
     def test_empty_composite_rejected(self):
         with pytest.raises(ValueError):

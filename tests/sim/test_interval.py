@@ -146,7 +146,7 @@ class TestComputeCycles:
 
 
 class TestComputeCyclesBatch:
-    """Stage 3 as a numpy batch must be bit-identical to scalar calls."""
+    """Stage 3 maps compute_cycles over the batch, passing every field."""
 
     def _batch(self):
         return [
