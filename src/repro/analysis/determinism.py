@@ -9,8 +9,8 @@ that promise, and each is statically visible:
   draw from process-global state whose sequence depends on import
   order and prior callers.  Result-path code must thread an explicit
   ``random.Random(seed)`` / ``np.random.default_rng(seed)`` instance.
-  Enforced in the directories that compute results: ``sim/``,
-  ``codegen/``, ``tuning/``.
+  Enforced in the directories that compute results: ``isa/``,
+  ``sim/``, ``codegen/``, ``tuning/``.
 * **Wall-clock reads** — ``time.time()`` / ``datetime.now()`` in the
   same directories put the clock into the data.  (Monotonic timers for
   *observability* — ``time.perf_counter`` — are fine: they never feed
@@ -36,7 +36,7 @@ import ast
 from repro.analysis.core import Checker, Finding, SourceFile, register
 
 #: Directories whose code computes results (RNG/clock rules apply).
-_RESULT_DIRS = ("sim", "codegen", "tuning")
+_RESULT_DIRS = ("isa", "sim", "codegen", "tuning")
 
 #: ``random.X(...)`` calls that do not draw from the global stream.
 _RANDOM_OK = {"Random", "SystemRandom"}

@@ -461,6 +461,11 @@ class Coordinator:
                 sock, peer = self._listener.accept()
             except OSError:
                 return  # listener closed: shutting down
+            try:
+                # TCP_NODELAY, as protocol.connect sets on the other end.
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            except OSError:
+                pass  # the peer already left; serving it finds out
             conn = _Connection(sock=sock, peer=f"{peer[0]}:{peer[1]}")
             thread = threading.Thread(
                 target=self._serve, args=(conn,),

@@ -264,6 +264,10 @@ def connect(addr: str, timeout: float | None = None,
         try:
             sock = socket.create_connection((host, port), timeout=timeout)
             sock.settimeout(None)
+            # Frames are small requests and replies.  With Nagle on, one
+            # sent behind an unacknowledged frame waits for the peer's
+            # delayed ACK: ~40 ms per tuner epoch on a loopback worker.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             return sock
         except OSError:
             if time.monotonic() >= deadline:

@@ -202,6 +202,86 @@ def _check_branches(branches: np.ndarray, patterns: list) -> None:
         raise ValueError("random_ratio must be within [0, 1]")
 
 
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """``init * mult**k mod 2**32`` for ``k < count``: the running
+    constant of ``count - 1`` successive ``SeedSequence`` hash steps."""
+    return np.array(
+        [init * pow(mult, k, 1 << 32) % (1 << 32) for k in range(count)],
+        dtype=np.uint32,
+    )
+
+
+#: numpy's ``SeedSequence`` constants for a pool of 4 words: 16
+#: ``hashmix`` steps while seeding (4 to fill the pool, 12 to mix it),
+#: 8 steps for ``generate_state(4, np.uint64)``, and ``mix``'s factors.
+_HASHMIX = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
+_GENERATE = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+#: PCG64's 128-bit LCG multiplier.
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash(words: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """One hash step per row of ``words``: xor the step's constant,
+    multiply by the next one, fold the high half into the low."""
+    words = (words ^ constants[:-1, None]) * constants[1:, None]
+    return words ^ words >> np.uint32(16)
+
+
+def _seed_states(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` of every seed.
+
+    numpy's hash, evaluated over uint32 columns with one row per pool
+    word.  A seed below ``2**64`` is at most two little-endian 32-bit
+    entropy words, and a pool word past the entropy hashes a 0, so every
+    seed fills the pool as ``(low, high, 0, 0)``.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0] = seeds & np.uint64(0xFFFFFFFF)
+    pool[1] = seeds >> np.uint64(32)
+    pool = _hash(pool, _HASHMIX[:5])
+    # Mix each word into every other one, so late bits reach early ones.
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        step = 4 + 3 * src
+        mixed = _MIX_L * pool[dst] - _MIX_R * _hash(
+            pool[src], _HASHMIX[step:step + 4]
+        )
+        pool[dst] = mixed ^ mixed >> np.uint32(16)
+    # generate_state cycles the pool for 8 words; uint64 ``k`` is words
+    # ``2k`` (low half) and ``2k + 1`` (high half).
+    words = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _GENERATE).astype(np.uint64)
+    return (words[0::2] | words[1::2] << np.uint64(32)).T
+
+
+def _draw_uniforms(draws: np.ndarray, rows: np.ndarray,
+                   seeds: np.ndarray) -> None:
+    """Fill ``draws[row]`` with what ``default_rng(seed).random`` draws,
+    for each ``(row, seed)`` pair.
+
+    One generator serves every row: it is set to the PCG64 state that
+    seeding with ``seed`` leaves (``pcg64_set_seed``: two LCG steps from
+    0, adding the seed's first 128 bits between them).
+    """
+    if (seeds < 0).any():
+        raise ValueError("a randomized branch's seed must be non-negative")
+    generator = np.random.default_rng(0)
+    bit_generator = generator.bit_generator
+    pcg = {}
+    state = {"bit_generator": "PCG64", "state": pcg,
+             "has_uint32": 0, "uinteger": 0}
+    for row, (s_hi, s_lo, q_hi, q_lo) in zip(
+        rows.tolist(), _seed_states(seeds).tolist()
+    ):
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        seeded = ((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc
+        pcg.update(state=seeded & _MASK128, inc=inc)
+        bit_generator.state = state
+        generator.random(out=draws[row])
+
+
 def outcome_matrix(
     branches: np.ndarray, patterns: list[tuple[bool, ...]], iterations: int
 ) -> np.ndarray:
@@ -211,10 +291,10 @@ def outcome_matrix(
     indexes ``patterns``.  Returns an ``(iterations, len(branches))``
     bool matrix: column ``j`` repeats row ``j``'s pattern cyclically,
     except where that branch's randomization fires.  A randomized branch
-    (``random_ratio > 0``) draws ``2 * iterations`` uniforms from
-    ``default_rng(seed)``: draw ``t`` below ``random_ratio`` randomizes
-    iteration ``t``, whose outcome is then draw ``iterations + t`` below
-    ``taken_bias``.
+    (``random_ratio > 0``) draws the ``2 * iterations`` uniforms that
+    ``default_rng(seed)`` draws: draw ``t`` below ``random_ratio``
+    randomizes iteration ``t``, whose outcome is then draw
+    ``iterations + t`` below ``taken_bias``.
     """
     if not len(branches):
         return np.empty((iterations, 0), dtype=bool)
@@ -227,10 +307,9 @@ def outcome_matrix(
     # below its threshold of 0.0, so it keeps its base pattern.
     draws = np.zeros((len(branches), 2 * iterations))
     ratios = branches["random_ratio"]
-    for row, ratio, seed in zip(draws, ratios.tolist(),
-                                branches["seed"].tolist()):
-        if ratio != 0.0:
-            np.random.default_rng(seed).random(out=row)
+    randomized = np.flatnonzero(ratios != 0.0)
+    if len(randomized):
+        _draw_uniforms(draws, randomized, branches["seed"][randomized])
     thresholds = np.stack([ratios, branches["taken_bias"]], axis=1)
     fired = (
         draws.reshape(len(branches), 2, iterations) < thresholds[:, :, None]

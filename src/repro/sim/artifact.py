@@ -617,7 +617,8 @@ class TraceArtifactCache:
         self.maxsize = maxsize
         self._store = store
         self._entries: OrderedDict[tuple, TraceArtifact] = OrderedDict()
-        self._persisted: dict[tuple, int] = {}
+        #: key -> {store directory: memo count it last received}
+        self._persisted: dict[tuple, dict[Path, int]] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -662,7 +663,8 @@ class TraceArtifactCache:
                 if store is not None:
                     artifact = store.get(*key)
                     if artifact is not None:
-                        self._persisted[key] = artifact.memo_count()
+                        marks = self._persisted.setdefault(key, {})
+                        marks[store.dir] = artifact.memo_count()
             if artifact is None:
                 artifact = TraceArtifact.build(
                     program, instructions, fingerprint=key[0]
@@ -678,8 +680,8 @@ class TraceArtifactCache:
 
         Called after an evaluation pass so the store captures the event
         simulations memoized during it, not just the freshly built
-        shell.  No-op without a store or when nothing new was memoized
-        since the last persist.  Returns whether a write happened.
+        shell.  No-op without a store or when this store already holds
+        every memoized stage.  Returns whether a write happened.
         """
         store = self.store
         if store is None:
@@ -687,9 +689,10 @@ class TraceArtifactCache:
         key = (artifact.fingerprint, artifact.instructions)
         with self._lock:
             memos = artifact.memo_count()
-            if self._persisted.get(key) == memos:
+            marks = self._persisted.setdefault(key, {})
+            if marks.get(store.dir) == memos:
                 return False
-            self._persisted[key] = memos
+            marks[store.dir] = memos
         with obs.span("artifact.persist"):
             store.put(artifact)
         return True

@@ -38,8 +38,22 @@ class TestGlobalRng:
         assert len(report.findings) == 1
         assert "np.random.shuffle" in report.findings[0].message
 
+    def test_isa_is_a_result_dir(self, lint):
+        # Trace expansion's address and outcome matrices live in isa/.
+        report = lint({"isa/program.py": """\
+            import numpy as np
+
+            def bad():
+                return np.random.PCG64()
+
+            def good():
+                return np.random.default_rng(0)
+            """}, rules=RULES)
+        assert len(report.findings) == 1
+        assert "np.random.PCG64" in report.findings[0].message
+
     def test_result_dir_scoping(self, lint):
-        # The same call outside sim/codegen/tuning is not result-path.
+        # The same call outside isa/sim/codegen/tuning is not result-path.
         report = lint({"obs/clock.py": """\
             import random
 

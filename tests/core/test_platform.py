@@ -12,11 +12,7 @@ from repro.core.platform import (
     platform_for,
 )
 from repro.sim import LARGE_CORE, SMALL_CORE
-from repro.sim.artifact import (
-    GLOBAL_ARTIFACT_CACHE,
-    attach_artifact_store,
-    detach_artifact_store,
-)
+from repro.sim.artifact import attach_artifact_store, detach_artifact_store
 from repro.sim.stats import METRIC_KEYS
 
 
@@ -76,7 +72,6 @@ class TestCompositePlatform:
             [cls(SMALL_CORE, instructions=4_000) for cls in members]
         )
         detach_artifact_store()
-        GLOBAL_ARTIFACT_CACHE.clear()  # every program below is new
         store = attach_artifact_store(tmp_path)
         try:
             for n in range(3):

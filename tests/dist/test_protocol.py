@@ -2,11 +2,14 @@
 
 import socket
 import threading
+import time
 
 import pytest
 
+from repro.dist.coordinator import Coordinator
 from repro.dist.protocol import (
     ProtocolError,
+    connect,
     dumps_payload,
     format_addr,
     loads_payload,
@@ -122,3 +125,28 @@ class TestAddresses:
     def test_malformed_rejected(self, bad):
         with pytest.raises(ValueError):
             parse_addr(bad)
+
+
+class TestNoDelay:
+    """Every dist socket sends small frames at once: with Nagle on, a
+    request/reply exchange waits out the peer's delayed ACK."""
+
+    @staticmethod
+    def _nodelay(sock):
+        return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    def test_both_ends_of_a_connection_set_tcp_nodelay(self):
+        coordinator = Coordinator()
+        addr = coordinator.start()
+        sock = connect(addr, timeout=5.0)
+        try:
+            assert self._nodelay(sock)
+            deadline = time.monotonic() + 5.0
+            while not coordinator._connections:
+                assert time.monotonic() < deadline, "never accepted"
+                time.sleep(0.01)
+            (accepted,) = coordinator._connections
+            assert self._nodelay(accepted.sock)
+        finally:
+            sock.close()
+            coordinator.shutdown()

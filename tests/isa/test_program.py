@@ -92,6 +92,13 @@ class TestBranchBehavior:
         with pytest.raises(ValueError):
             BranchBehavior(random_ratio=1.5)
 
+    def test_negative_seed_raises_only_when_drawn(self):
+        with pytest.raises(ValueError):
+            BranchBehavior(random_ratio=0.5, seed=-1).outcomes(10)
+        # A branch that randomizes nothing never reads its seed.
+        fixed = BranchBehavior(pattern=(True, False, False), seed=-1)
+        assert fixed.outcomes(6).tolist() == [True, False, False] * 2
+
 
 class TestInstructionValidation:
     """Per-instruction checks, run by ``Program.validate`` on the

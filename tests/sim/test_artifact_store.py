@@ -218,3 +218,27 @@ class TestCacheIntegration:
         assert cache.store is None
         cache.get_or_build(_program(2), 2_000)
         assert len(DiskArtifactStore(tmp_path)) == 0
+
+    def test_store_attached_later_receives_a_persisted_artifact(
+        self, tmp_path
+    ):
+        # The dirty mark is per store: a second store attached in the
+        # same process gets the artifact the first already holds.
+        simulator = Simulator(core_by_name("small"))
+        program = _program(6)
+        first = attach_artifact_store(tmp_path / "a")
+        simulator.run(program, instructions=2_000)
+        second = attach_artifact_store(tmp_path / "b")
+        simulator.run(program, instructions=2_000)
+        assert (len(first), len(second)) == (1, 1)
+
+    def test_disk_hit_marks_only_the_store_it_came_from(self, tmp_path):
+        first = attach_artifact_store(tmp_path / "a")
+        first.put(_artifact(7))
+        cache = TraceArtifactCache()
+        artifact = cache.get_or_build(_program(7), 2_000)
+        assert first.hits == 1
+        assert not cache.persist(artifact)  # the store it came from
+        second = attach_artifact_store(tmp_path / "b")
+        assert cache.persist(artifact)
+        assert len(second) == 1

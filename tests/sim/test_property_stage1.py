@@ -5,14 +5,15 @@ and every branch outcome in one ``(K, B)`` matrix, and the critical
 path runs its dynamic program over dense register ids.  The oracles
 here are the plain-Python definitions those replace: the documented
 address formula evaluated one access at a time, two separate
-``random(K)`` draws per randomized branch, and the register-keyed dict
-DP.  Equality is exact, dtype included.
+``random(K)`` draws from a ``default_rng(seed)`` per randomized branch,
+numpy's own ``SeedSequence`` per seed, and the register-keyed dict DP.
+Equality is exact, dtype included.
 """
 
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.isa.instructions import INSTRUCTION_SET, InstrClass, instruction_def
@@ -21,6 +22,7 @@ from repro.isa.program import (
     Instruction,
     MemoryAccess,
     Program,
+    _seed_states,
 )
 from repro.isa.registers import Register, RegisterKind
 from repro.sim.config import LARGE_CORE, SMALL_CORE
@@ -107,7 +109,8 @@ branch_behaviors = st.builds(
     random_ratio=st.one_of(
         st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)
     ),
-    seed=st.integers(0, 2**32 - 1),
+    # Seeds from 2**32 up take two entropy words.
+    seed=st.integers(0, 2**63 - 1),
     taken_bias=st.floats(0.0, 1.0),
 )
 
@@ -234,6 +237,19 @@ class TestExpansionMatchesOracle:
         outcomes = branch.outcomes(iterations)
         assert outcomes.dtype == bool
         assert outcomes.tolist() == oracle_outcomes(branch, iterations)
+
+
+class TestSeedStatesMatchNumpy:
+    @given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=40))
+    @example([0, 1, 2**32 - 1, 2**32, 2**63 - 1])
+    @settings(max_examples=100, deadline=None)
+    def test_equals_seed_sequence(self, seeds):
+        states = _seed_states(np.array(seeds, dtype=np.int64))
+        assert states.dtype == np.uint64
+        assert states.tolist() == [
+            np.random.SeedSequence(s).generate_state(4, np.uint64).tolist()
+            for s in seeds
+        ]
 
 
 class TestCriticalPathMatchesOracle:

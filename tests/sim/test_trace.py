@@ -6,6 +6,7 @@ import pytest
 from repro.codegen import generate_test_case
 from repro.codegen.wrapper import GenerationOptions
 from repro.isa.instructions import InstrClass
+from repro.sim import trace as trace_module
 from repro.sim.trace import expand
 
 
@@ -79,3 +80,27 @@ class TestExpand:
             [i.memory.addresses(2) for i in program.memory_instructions()]
         )
         assert set(trace.mem_lines) <= set(byte_addrs // 64)
+
+
+def _counting(calls: list, name: str, real):
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+    return counted
+
+
+class TestOutcomeSeeding:
+    def test_at_most_one_generator_per_outcome_matrix(self, monkeypatch):
+        # Each randomized branch draws what default_rng(seed) draws, from
+        # one generator per call, not one generator per branch.
+        program = _program(1200)
+        assert (program.branches["random_ratio"] > 0).sum() >= 200
+        built, matrices = [], []
+        for name in ("default_rng", "SeedSequence", "PCG64"):
+            monkeypatch.setattr(np.random, name, _counting(
+                built, name, getattr(np.random, name)))
+        monkeypatch.setattr(trace_module, "outcome_matrix", _counting(
+            matrices, "outcome_matrix", trace_module.outcome_matrix))
+        expand(program, iterations=40)
+        assert len(matrices) == 1
+        assert len(built) <= len(matrices)
