@@ -23,7 +23,11 @@ from repro.core.platform import PerformancePlatform
 from repro.dist.backend import DistributedBackend
 from repro.exec.backend import SerialBackend
 from repro.exec.jobs import evaluate_configs
-from repro.sim.artifact import attach_artifact_store, detach_artifact_store
+from repro.sim.artifact import (
+    GLOBAL_ARTIFACT_CACHE,
+    attach_artifact_store,
+    detach_artifact_store,
+)
 from repro.sim.config import core_by_name
 from repro.sim.simulator import Simulator
 
@@ -103,6 +107,7 @@ class TestDistributedSpeedup:
         # Workers use the caller's artifact store: attach a fresh one
         # around the dist run, so it starts store-cold and the workers
         # persist every artifact they build.
+        GLOBAL_ARTIFACT_CACHE.clear()
         attach_artifact_store(os.path.join(cache_dir, "artifacts"))
         try:
             with DistributedBackend(spawn_workers=WORKERS) as backend:
@@ -120,6 +125,7 @@ class TestDistributedSpeedup:
 
         # Second run, cold in-process caches: artifacts must come from
         # the store the distributed workers populated.
+        GLOBAL_ARTIFACT_CACHE.clear()
         try:
             store = attach_artifact_store(
                 os.path.join(cache_dir, "artifacts")

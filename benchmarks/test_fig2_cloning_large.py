@@ -86,7 +86,9 @@ def test_fig2_single_clone_epoch_cost(benchmark, cloning_results):
         # 33 cached evaluations approximate an epoch's platform work.
         from repro.codegen import generate_test_case
         from repro.sim import LARGE_CORE, Simulator
+        from repro.sim.artifact import GLOBAL_ARTIFACT_CACHE
 
+        GLOBAL_ARTIFACT_CACHE.clear()  # each round pays the full pipeline
         program = generate_test_case(sample.knobs)
         return Simulator(LARGE_CORE).run(program, instructions=8_000)
 

@@ -15,6 +15,7 @@ from dataclasses import replace
 
 from repro.codegen.wrapper import GenerationOptions, generate_test_case
 from repro.sim import Simulator, TraceArtifactCache
+from repro.sim.artifact import GLOBAL_ARTIFACT_CACHE
 from repro.sim.config import CacheGeometry, core_by_name
 
 from harness import BUDGETS, print_header, save_artifact
@@ -62,11 +63,13 @@ class TestTraceReuse:
         # costs; fresh caches below keep the measurement itself cold.
         Simulator(cores[0]).run(program, instructions=INSTRUCTIONS)
 
+        def independent_run(core):
+            # Every independent run starts from an empty artifact cache.
+            GLOBAL_ARTIFACT_CACHE.clear()
+            return Simulator(core).run(program, instructions=INSTRUCTIONS)
+
         start = time.perf_counter()
-        independent = [
-            Simulator(core).run(program, instructions=INSTRUCTIONS)
-            for core in cores
-        ]
+        independent = [independent_run(core) for core in cores]
         independent_s = time.perf_counter() - start
 
         batch_cache = TraceArtifactCache(maxsize=2)

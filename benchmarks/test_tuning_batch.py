@@ -48,6 +48,7 @@ from repro.codegen.wrapper import (
 from repro.core.platform import PerformancePlatform
 from repro.exec.backend import SerialBackend
 from repro.exec.jobs import evaluate_configs
+from repro.sim.artifact import GLOBAL_ARTIFACT_CACHE
 from repro.sim.config import core_by_name
 
 from harness import print_header, save_artifact
@@ -125,8 +126,8 @@ def group_representatives(configs, options) -> list[dict]:
 def timed_arm(configs, options, batched, warm):
     """Best-of-N wall time for one evaluation arm.
 
-    Every repetition uses a fresh platform (fresh simulator and artifact
-    caches), so nothing leaks between arms.  A cold arm pays the full
+    Every repetition uses a fresh platform and an empty artifact cache,
+    so nothing leaks between arms.  A cold arm pays the full
     generation + artifact + event pipeline; a warm arm first evaluates
     one config per equivalence group outside the clock, so every
     lineage's artifact and stage-2 memos exist before it starts.
@@ -134,6 +135,7 @@ def timed_arm(configs, options, batched, warm):
     best_s = float("inf")
     metrics = None
     for _ in range(REPEATS):
+        GLOBAL_ARTIFACT_CACHE.clear()
         platform = PerformancePlatform(
             core_by_name("small"), instructions=INSTRUCTIONS
         )
@@ -169,8 +171,8 @@ class TestTuningBatch:
         })
 
         # Warm the interpreter/allocator so neither arm pays first-run
-        # costs; fresh platforms inside timed_arm keep caches from
-        # leaking between arms.
+        # costs; timed_arm empties the artifact cache, so nothing leaks
+        # between arms.
         PerformancePlatform(
             core_by_name("small"), instructions=20_000
         ).evaluate(generate_test_case(BASE_KNOBS, options))

@@ -338,7 +338,7 @@ class MicroGrad:
         sub_configs = []
         # Characterize each *distinct* phase once: simpoints frequently
         # sample the same phase, and the trace artifact of a phase
-        # program is shared through the simulator's artifact cache.
+        # program is shared through the process-wide artifact cache.
         stats_by_phase: dict[str, dict[str, float]] = {}
         for sp in simpoints:
             phase_name = labels[sp.interval]

@@ -13,11 +13,6 @@ from typing import Protocol, runtime_checkable
 
 from repro.isa.program import Program
 from repro.power.mcpat import PowerModel
-from repro.sim.artifact import (
-    GLOBAL_ARTIFACT_CACHE,
-    TraceArtifact,
-    artifact_for,
-)
 from repro.sim.config import CoreConfig, core_by_name
 from repro.sim.simulator import DEFAULT_INSTRUCTIONS, Simulator
 
@@ -60,23 +55,15 @@ class SimulationPlatformMixin:
     bit-identical to per-program :meth:`evaluate` calls.
     """
 
-    #: Evaluation accepts a prebuilt trace artifact (composite sharing).
-    accepts_artifact = True
-
     def _stats_metrics(self, stats) -> dict[str, float]:
         return stats.metrics()
 
-    def evaluate(
-        self, program: Program, artifact: TraceArtifact | None = None
-    ) -> dict[str, float]:
-        stats = self.simulator.run(
-            program, instructions=self.instructions, artifact=artifact
-        )
+    def evaluate(self, program: Program) -> dict[str, float]:
+        stats = self.simulator.run(program, instructions=self.instructions)
         return self._stats_metrics(stats)
 
     def evaluate_group(
-        self, program: Program, count: int,
-        artifact: TraceArtifact | None = None,
+        self, program: Program, count: int
     ) -> list[dict[str, float]]:
         """Metrics for ``count`` equivalent evaluations of ``program``.
 
@@ -84,8 +71,7 @@ class SimulationPlatformMixin:
         serves the whole group through the config-batched shared pass.
         """
         stats_list = self.simulator.run_group(
-            program, count, instructions=self.instructions,
-            artifact=artifact,
+            program, count, instructions=self.instructions
         )
         return [self._stats_metrics(stats) for stats in stats_list]
 
@@ -245,12 +231,11 @@ class NativeExecutionPlatform:
 class CompositePlatform:
     """Merge the metric dicts of several platforms (later ones win ties).
 
-    Members that simulate (``accepts_artifact``) receive a shared
-    :class:`~repro.sim.artifact.TraceArtifact` per distinct instruction
-    budget, so a perf + power + droop composite expands the trace and
-    simulates each event stream once per program, not once per member.
-    After the members run, each shared artifact is persisted to the
-    attached on-disk artifact store, as a lone simulator's would be.
+    Simulating members share each :class:`~repro.sim.artifact.TraceArtifact`
+    through the process-wide artifact cache, by fingerprint and
+    instruction budget, so a perf + power + droop composite expands the
+    trace and simulates each event stream once per program, not once per
+    member.
     """
 
     def __init__(self, platforms: list[EvaluationPlatform]):
@@ -265,29 +250,12 @@ class CompositePlatform:
     def evaluate_group(
         self, program: Program, count: int
     ) -> list[dict[str, float]]:
-        """Each member serves the whole group its own way; simulating
-        members share one artifact per instruction budget."""
+        """Each member serves the whole group its own way."""
         merged: list[dict[str, float]] = [{} for _ in range(count)]
-        artifacts: dict[int, TraceArtifact] = {}
         for platform in self.platforms:
-            if getattr(platform, "accepts_artifact", False):
-                budget = platform.instructions
-                artifact = artifacts.get(budget)
-                if artifact is None:
-                    artifact = artifact_for(program, budget)
-                    artifacts[budget] = artifact
-                group = platform.evaluate_group(
-                    program, count, artifact=artifact
-                )
-            else:
-                group = platform.evaluate_group(program, count)
+            group = platform.evaluate_group(program, count)
             for slot, metrics in zip(merged, group):
                 slot.update(metrics)
-        for artifact in artifacts.values():
-            # Members handed a prebuilt artifact do not persist it, so
-            # the cache artifact_for used captures their memoized stages
-            # (once: it skips unchanged artifacts; no-op without a store).
-            GLOBAL_ARTIFACT_CACHE.persist(artifact)
         return merged
 
 

@@ -30,7 +30,6 @@ from repro.sim.simulator import Simulator
 from repro.sim.artifact import (
     TraceArtifact,
     TraceArtifactCache,
-    artifact_for,
     program_fingerprint,
 )
 
@@ -44,6 +43,5 @@ __all__ = [
     "Simulator",
     "TraceArtifact",
     "TraceArtifactCache",
-    "artifact_for",
     "program_fingerprint",
 ]

@@ -22,9 +22,11 @@ cores (one core is a batch of one) and hand the distinct keys missing
 from the memo to one :mod:`repro.sim.events` batch call per trace
 window.
 
-Artifacts are held in a bounded :class:`TraceArtifactCache` (LRU); the
-module-level :func:`artifact_for` uses a process-wide cache shared by
-``Simulator.run_many`` and ``CompositePlatform``.
+Artifacts are held in a bounded :class:`TraceArtifactCache` (LRU).
+Every simulator in a process fetches through one of them,
+:data:`GLOBAL_ARTIFACT_CACHE`, unless a ``Simulator.run_many`` call
+names another; so two simulators, or the members of a
+``CompositePlatform``, share each artifact by fingerprint.
 """
 
 from __future__ import annotations
@@ -548,12 +550,8 @@ class DiskArtifactStore(LruDirectoryStore):
 
 
 #: Process-wide store attached by :func:`attach_artifact_store`; every
-#: ``TraceArtifactCache`` built without an explicit ``store=`` consults
-#: it, so one call wires instance caches and the global cache alike.
+#: ``TraceArtifactCache`` loads misses from it and persists to it.
 _ACTIVE_STORE: DiskArtifactStore | None = None
-
-#: Sentinel: "use whatever store is attached process-wide".
-_INHERIT = object()
 
 
 def attach_artifact_store(
@@ -594,12 +592,11 @@ def active_artifact_store() -> DiskArtifactStore | None:
 class TraceArtifactCache:
     """Bounded LRU cache of artifacts keyed by (fingerprint, budget).
 
-    Thread-safe: ``ThreadBackend`` workers share platform simulators
-    (and the process-wide cache), so lookup, LRU bookkeeping and
-    eviction are serialized under a lock.  Artifacts are built under
-    the lock too — a build is a one-time cost per (program, budget) and
-    racing duplicate builds would waste exactly the work this cache
-    exists to share.
+    Thread-safe: ``ThreadBackend`` workers share the process-wide
+    cache, so lookup, LRU bookkeeping and eviction are serialized under
+    a lock.  Artifacts are built under the lock too — a build is a
+    one-time cost per (program, budget) and racing duplicate builds
+    would waste exactly the work this cache exists to share.
     """
 
     #: Lock discipline, enforced by the ``lock-discipline`` checker of
@@ -611,24 +608,16 @@ class TraceArtifactCache:
         "_persisted": "_lock",
     }
 
-    def __init__(self, maxsize: int = 16, store=_INHERIT):
+    def __init__(self, maxsize: int = 16):
         if maxsize < 1:
             raise ValueError("artifact cache needs maxsize >= 1")
         self.maxsize = maxsize
-        self._store = store
         self._entries: OrderedDict[tuple, TraceArtifact] = OrderedDict()
         #: key -> {store directory: memo count it last received}
         self._persisted: dict[tuple, dict[Path, int]] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-
-    @property
-    def store(self) -> DiskArtifactStore | None:
-        """This cache's on-disk store (process-wide one by default)."""
-        if self._store is _INHERIT:
-            return _ACTIVE_STORE
-        return self._store
 
     def __len__(self) -> int:
         with self._lock:
@@ -659,7 +648,7 @@ class TraceArtifactCache:
                     self.hits += 1
                     return artifact
                 self.misses += 1
-                store = self.store
+                store = _ACTIVE_STORE
                 if store is not None:
                     artifact = store.get(*key)
                     if artifact is not None:
@@ -683,7 +672,7 @@ class TraceArtifactCache:
         shell.  No-op without a store or when this store already holds
         every memoized stage.  Returns whether a write happened.
         """
-        store = self.store
+        store = _ACTIVE_STORE
         if store is None:
             return False
         key = (artifact.fingerprint, artifact.instructions)
@@ -698,20 +687,7 @@ class TraceArtifactCache:
         return True
 
 
-#: Process-wide artifact cache: ``Simulator.run_many`` and
-#: ``CompositePlatform`` share trace work through it by default.
-GLOBAL_ARTIFACT_CACHE = TraceArtifactCache(maxsize=32)
-
-
-def artifact_for(
-    program: Program,
-    instructions: int,
-    cache: TraceArtifactCache | None = None,
-) -> TraceArtifact:
-    """The shared artifact for (program, budget), via ``cache`` or the
-    process-wide default."""
-    # Explicit None check: an *empty* cache is falsy (``__len__``), and
-    # ``cache or GLOBAL`` would silently bypass a fresh instance cache.
-    if cache is None:
-        cache = GLOBAL_ARTIFACT_CACHE
-    return cache.get_or_build(program, instructions)
+#: Process-wide artifact cache: every simulator fetches through it
+#: unless a ``Simulator.run_many`` call names another.  Eight entries
+#: cover a tuning epoch's re-evaluations and bound resident memory.
+GLOBAL_ARTIFACT_CACHE = TraceArtifactCache(maxsize=8)

@@ -25,11 +25,10 @@ from __future__ import annotations
 from repro import obs
 from repro.isa.program import Program
 from repro.sim.artifact import (
+    GLOBAL_ARTIFACT_CACHE,
     WARMUP_FRACTION,
     TraceArtifact,
     TraceArtifactCache,
-    artifact_for,
-    program_fingerprint,
 )
 from repro.sim.config import CoreConfig
 from repro.sim.events import MemoryEvents
@@ -42,10 +41,6 @@ from repro.sim.stats import SimStats
 #: default keeps a full tuning run laptop-fast.  Pass a larger budget to
 #: :meth:`Simulator.run` to match the paper exactly.
 DEFAULT_INSTRUCTIONS = 20_000
-
-#: Artifacts retained per Simulator instance (platforms re-evaluate the
-#: same program under one core repeatedly during a tuning epoch).
-_INSTANCE_CACHE_SIZE = 8
 
 
 class Simulator:
@@ -60,31 +55,14 @@ class Simulator:
     which shares the trace artifact across the whole batch::
 
         stats_list = Simulator.run_many([core_a, core_b], program)
+
+    A simulator holds only its core (so it pickles as the core alone);
+    every simulator in a process shares each trace artifact through
+    :data:`~repro.sim.artifact.GLOBAL_ARTIFACT_CACHE`.
     """
 
-    def __init__(self, core: CoreConfig,
-                 artifact_cache: TraceArtifactCache | None = None):
+    def __init__(self, core: CoreConfig):
         self.core = core
-        self._artifacts = artifact_cache or TraceArtifactCache(
-            maxsize=_INSTANCE_CACHE_SIZE
-        )
-
-    # The artifact cache is per-process working state: excluding it from
-    # the pickled form keeps worker shipping cheap and — critically —
-    # keeps the pickled bytes identical to pre-pipeline Simulators, so
-    # platform-identity hashes (disk-cache contexts) survive unchanged.
-    # Unpickled simulators (i.e. worker-side platform clones) join the
-    # process-wide cache rather than getting a private one, so every
-    # chunk a worker evaluates — and the on-disk artifact store, when
-    # one is attached — shares trace work across the whole process.
-    def __getstate__(self) -> dict:
-        return {"core": self.core}
-
-    def __setstate__(self, state: dict) -> None:
-        from repro.sim.artifact import GLOBAL_ARTIFACT_CACHE
-
-        self.core = state["core"]
-        self._artifacts = GLOBAL_ARTIFACT_CACHE
 
     # ------------------------------------------------------------------
     # staged pipeline
@@ -194,7 +172,6 @@ class Simulator:
         self,
         program: Program,
         instructions: int = DEFAULT_INSTRUCTIONS,
-        artifact: TraceArtifact | None = None,
         engine: str | None = None,
     ) -> SimStats:
         """Simulate ``instructions`` dynamic instructions of ``program``.
@@ -206,9 +183,6 @@ class Simulator:
                 :data:`~repro.sim.artifact.WARMUP_FRACTION` of them (or
                 more, until the streams wrap) warms caches and
                 predictors outside the measured window.
-            artifact: optionally, a prebuilt trace artifact for this
-                (program, budget) pair — e.g. one shared by a
-                :class:`~repro.core.platform.CompositePlatform`.
             engine: stage-2 event engine (``reference`` / ``vectorized``,
                 see :mod:`repro.sim.events`); ``None`` uses the process
                 default.  Engines are bit-identical.
@@ -217,12 +191,7 @@ class Simulator:
             Measured-window statistics.
         """
         return self.run_many(
-            [self.core],
-            program,
-            instructions=instructions,
-            artifact=artifact,
-            artifact_cache=self._artifacts,
-            engine=engine,
+            [self.core], program, instructions=instructions, engine=engine
         )[0]
 
     def run_group(
@@ -230,7 +199,6 @@ class Simulator:
         program: Program,
         count: int,
         instructions: int = DEFAULT_INSTRUCTIONS,
-        artifact: TraceArtifact | None = None,
         engine: str | None = None,
     ) -> list[SimStats]:
         """Simulate ``count`` equivalent evaluations of ``program``.
@@ -243,11 +211,7 @@ class Simulator:
         own (bit-identical) :class:`SimStats` back.
         """
         return self.run_many(
-            [self.core] * count,
-            program,
-            instructions=instructions,
-            artifact=artifact,
-            artifact_cache=self._artifacts,
+            [self.core] * count, program, instructions=instructions,
             engine=engine,
         )
 
@@ -257,7 +221,6 @@ class Simulator:
         cores: list[CoreConfig],
         program: Program,
         instructions: int = DEFAULT_INSTRUCTIONS,
-        artifact: TraceArtifact | None = None,
         artifact_cache: TraceArtifactCache | None = None,
         engine: str | None = None,
     ) -> list[SimStats]:
@@ -278,7 +241,6 @@ class Simulator:
             cores: core configurations to evaluate, in order.
             program: generated test case (endless loop body).
             instructions: dynamic instruction budget per evaluation.
-            artifact: optional prebuilt artifact for (program, budget).
             artifact_cache: cache to fetch/build the artifact through;
                 defaults to the process-wide artifact cache.
             engine: stage-2 event engine (``reference`` / ``vectorized``);
@@ -290,8 +252,7 @@ class Simulator:
         """
         with obs.span("sim.run_many"):
             return cls._run_many(
-                cores, program, instructions, artifact, artifact_cache,
-                engine,
+                cores, program, instructions, artifact_cache, engine
             )
 
     @classmethod
@@ -300,37 +261,13 @@ class Simulator:
         cores: list[CoreConfig],
         program: Program,
         instructions: int,
-        artifact: TraceArtifact | None,
         artifact_cache: TraceArtifactCache | None,
         engine: str | None,
     ) -> list[SimStats]:
-        cache = None
-        if artifact is None:
-            from repro.sim.artifact import GLOBAL_ARTIFACT_CACHE
-
-            cache = (
-                artifact_cache if artifact_cache is not None
-                else GLOBAL_ARTIFACT_CACHE
-            )
-            artifact = artifact_for(
-                program, instructions, cache=artifact_cache
-            )
-        elif artifact.instructions != instructions:
-            raise ValueError(
-                f"artifact was built for a budget of "
-                f"{artifact.instructions} instructions, not {instructions}"
-            )
-        elif (
-            artifact.program is not program
-            and artifact.fingerprint != program_fingerprint(program)
-        ):
-            # Same-object is the common sharing path (free to check);
-            # otherwise the fingerprint catches an artifact reused
-            # across the wrong program before it misattributes stats.
-            raise ValueError(
-                "artifact was built for a different program "
-                f"(fingerprint {artifact.fingerprint})"
-            )
+        cache = artifact_cache
+        if cache is None:
+            cache = GLOBAL_ARTIFACT_CACHE
+        artifact = cache.get_or_build(program, instructions)
         schedules = [
             artifact.schedule(core, WARMUP_FRACTION) for core in cores
         ]
@@ -350,10 +287,9 @@ class Simulator:
             cls._interval_inputs(core, artifact, measure, mem, branch[0], icache)
             for core, _, measure, mem, branch, icache in per_core
         ]
-        if cache is not None:
-            # Capture the stages this batch memoized in the on-disk
-            # artifact store (no-op unless one is attached).
-            cache.persist(artifact)
+        # Capture the stages this batch memoized in the on-disk
+        # artifact store (no-op unless one is attached).
+        cache.persist(artifact)
         timings = compute_cycles_batch(inputs)
         return [
             cls._assemble_stats(core, artifact, core_inputs, *results, timing)

@@ -20,6 +20,13 @@ LossFn = Callable[[dict[str, float]], float]
 progress_logger = logging.getLogger("repro.tuning.progress")
 
 
+def _result_cache_counts() -> tuple[float, float]:
+    """Process-lifetime (hits, misses) of the persistent result cache."""
+    cache = obs.counters("cache.result.")
+    return (cache.get("cache.result.hits", 0),
+            cache.get("cache.result.misses", 0))
+
+
 @dataclass
 class EpochRecord:
     """Progress snapshot after one tuning epoch.
@@ -82,6 +89,7 @@ class Tuner:
         self._best_metrics: dict[str, float] | None = None
         self._epoch_mark = time.perf_counter()
         self._eval_mark = 0
+        self._cache_mark = _result_cache_counts()
 
     def _observe(self, config: dict, metrics: dict[str, float]) -> float:
         """Score a configuration and update the best-seen state."""
@@ -102,6 +110,13 @@ class Tuner:
         requested = self.evaluator.requested_evaluations
         epoch_evals = requested - self._eval_mark
         self._eval_mark = requested
+        # The result-cache counters are process-wide: this epoch's
+        # lookups are their change since the last epoch.
+        cache_counts = _result_cache_counts()
+        hits, misses = (
+            count - mark for count, mark in zip(cache_counts, self._cache_mark)
+        )
+        self._cache_mark = cache_counts
         self.history.append(
             EpochRecord(
                 epoch=epoch,
@@ -113,9 +128,6 @@ class Tuner:
             )
         )
         if progress_logger.isEnabledFor(logging.INFO):
-            cache = obs.counters("cache.result.")
-            hits = cache.get("cache.result.hits", 0)
-            misses = cache.get("cache.result.misses", 0)
             hit_txt = (
                 f"{hits / (hits + misses) * 100.0:.1f}%"
                 if hits + misses else "n/a"

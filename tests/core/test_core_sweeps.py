@@ -122,25 +122,14 @@ class TestStressAcrossCores:
 
 
 class TestCompositeArtifactSharing:
-    def test_members_share_one_artifact(self, program, monkeypatch):
-        import repro.core.platform as platform_mod
-
-        built = []
-        real = platform_mod.artifact_for
-
-        def counting(prog, budget, cache=None):
-            artifact = real(prog, budget, cache=cache)
-            built.append(budget)
-            return artifact
-
-        monkeypatch.setattr(platform_mod, "artifact_for", counting)
+    def test_members_share_one_artifact(self, program, artifact_builds):
         composite = CompositePlatform([
             PerformancePlatform(SMALL_CORE, instructions=6_000),
             PowerPlatform(SMALL_CORE, instructions=6_000),
         ])
         composite.evaluate(program)
-        # Two simulating members, one shared budget: one artifact fetch.
-        assert built == [6_000]
+        # Two simulating members, one shared budget: one artifact build.
+        assert artifact_builds == [6_000]
 
     def test_composite_metrics_match_isolated_platforms(self, program):
         perf = PerformancePlatform(SMALL_CORE, instructions=6_000)

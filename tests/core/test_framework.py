@@ -126,3 +126,35 @@ class TestSimpointCloning:
     def test_simpoint_cloning_requires_application(self):
         with pytest.raises(ValueError, match="application"):
             MicroGrad(_fast_cloning()).clone_simpoints()
+
+
+class TestProgressLines:
+    @staticmethod
+    def _hit_rates(caplog, cache_dir):
+        config = MicroGradConfig(
+            use_case="stress", metrics=("ipc",), core="small",
+            max_epochs=2, instructions=2_000, loop_size=60, seed=1,
+            cache_dir=str(cache_dir),
+        )
+        caplog.clear()
+        mg = MicroGrad(config)
+        try:
+            mg.run()
+        finally:
+            mg.close()
+        return [
+            record.getMessage().rsplit("cache hit ", 1)[1]
+            for record in caplog.records
+            if record.name == "repro.tuning.progress"
+        ]
+
+    def test_cache_hit_rate_counts_only_this_epoch(self, caplog, tmp_path):
+        caplog.set_level("INFO", logger="repro.tuning.progress")
+        fresh = self._hit_rates(caplog, tmp_path / "a")
+        # A rerun on the same directory finds every result on disk; a
+        # later fresh directory finds none, whatever earlier runs hit.
+        rerun = self._hit_rates(caplog, tmp_path / "a")
+        other = self._hit_rates(caplog, tmp_path / "b")
+        assert (fresh, rerun, other) == (
+            ["0.0%", "0.0%"], ["100.0%", "100.0%"], ["0.0%", "0.0%"]
+        )

@@ -47,9 +47,9 @@ def _platform():
     return PerformancePlatform(core_by_name("small"), instructions=2_000)
 
 
-def _one_run_per_member(self, program, count, artifact=None):
+def _one_run_per_member(self, program, count):
     """Oracle ``evaluate_group``: one ``Simulator.run`` per config."""
-    return [self.evaluate(program, artifact=artifact) for _ in range(count)]
+    return [self.evaluate(program) for _ in range(count)]
 
 
 class TestEvaluateConfigsGrouped:

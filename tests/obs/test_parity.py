@@ -18,6 +18,7 @@ from repro.exec.backend import (
     ThreadBackend,
 )
 from repro.exec.jobs import evaluate_configs
+from repro.sim.artifact import GLOBAL_ARTIFACT_CACHE
 from repro.sim.config import core_by_name
 
 # Pairwise-distinct ADD:LD ratios make every config its own generation
@@ -43,7 +44,9 @@ def _invariant_counters(snapshot):
 
 
 def _run(backend):
-    """Evaluate CONFIGS on ``backend`` inside a fresh collection scope."""
+    """Evaluate CONFIGS on ``backend`` inside a fresh collection scope,
+    from an empty artifact cache (pool workers fork on first use)."""
+    GLOBAL_ARTIFACT_CACHE.clear()
     platform = PerformancePlatform(core_by_name("small"),
                                    instructions=2_000)
     with obs.collect() as scope:

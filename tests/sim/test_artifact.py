@@ -241,10 +241,11 @@ class TestArtifactSharing:
         assert cache.misses == 4
 
     def test_backend_only_variants_share_event_simulations(self, program):
-        artifact = TraceArtifact.build(program, 8_000)
+        cache = TraceArtifactCache(maxsize=2)
         wide = replace(LARGE_CORE, front_end_width=4, rob=320)
         Simulator.run_many([LARGE_CORE, wide], program,
-                           instructions=8_000, artifact=artifact)
+                           instructions=8_000, artifact_cache=cache)
+        artifact = cache.get_or_build(program, 8_000)
         # One memory sim, one branch sim, one trace: the variants differ
         # only in parameters the event simulations never read.
         assert len(artifact._memory) == 1
@@ -252,35 +253,28 @@ class TestArtifactSharing:
         assert len(artifact._traces) == 1
 
     def test_distinct_hierarchies_do_not_alias(self, program):
-        artifact = TraceArtifact.build(program, 8_000)
+        cache = TraceArtifactCache(maxsize=2)
         small_l1 = replace(LARGE_CORE, l1d=CacheGeometry(8 * 1024, 4,
                                                          latency=3))
         Simulator.run_many([LARGE_CORE, small_l1], program,
-                           instructions=8_000, artifact=artifact)
-        assert len(artifact._memory) == 2
-
-    def test_mismatched_artifact_budget_rejected(self, program):
-        artifact = TraceArtifact.build(program, 8_000)
-        with pytest.raises(ValueError, match="budget"):
-            Simulator(SMALL_CORE).run(
-                program, instructions=16_000, artifact=artifact
-            )
-
-    def test_mismatched_artifact_program_rejected(self, program):
-        artifact = TraceArtifact.build(program, 8_000)
-        other = generate_test_case(dict(KNOBS, ADD=7))
-        with pytest.raises(ValueError, match="different program"):
-            Simulator(SMALL_CORE).run(
-                other, instructions=8_000, artifact=artifact
-            )
+                           instructions=8_000, artifact_cache=cache)
+        assert len(cache.get_or_build(program, 8_000)._memory) == 2
 
     def test_equal_content_program_copy_is_accepted(self, program):
-        artifact = TraceArtifact.build(program, 8_000)
+        cache = TraceArtifactCache(maxsize=2)
+        cache.get_or_build(program, 8_000)
         copy = generate_test_case(KNOBS)
-        stats = Simulator(SMALL_CORE).run(
-            copy, instructions=8_000, artifact=artifact
-        )
+        stats = Simulator.run_many(
+            [SMALL_CORE], copy, instructions=8_000, artifact_cache=cache
+        )[0]
+        assert (cache.hits, cache.misses) == (1, 1)  # by fingerprint
         assert stats == Simulator(SMALL_CORE).run(copy, instructions=8_000)
+
+    def test_simulators_share_one_artifact(self, program, artifact_builds):
+        first = Simulator(SMALL_CORE).run(program, instructions=8_000)
+        second = Simulator(SMALL_CORE).run(program, instructions=8_000)
+        assert first == second
+        assert artifact_builds == [8_000]
 
     def test_cache_is_thread_safe_under_churn(self, program):
         # ThreadBackend workers share simulators and hence caches; LRU
@@ -335,6 +329,16 @@ class TestPickleStability:
         sim = pickle.loads(pickle.dumps(Simulator(SMALL_CORE)))
         stats = sim.run(program, instructions=6_000)
         assert stats.core == "small"
+
+    def test_unpickled_platform_shares_the_artifact(
+        self, program, artifact_builds
+    ):
+        from repro.core.platform import PerformancePlatform
+
+        platform = PerformancePlatform(SMALL_CORE, instructions=8_000)
+        clone = pickle.loads(pickle.dumps(platform))
+        assert clone.evaluate(program) == platform.evaluate(program)
+        assert artifact_builds == [8_000]
 
     def test_platform_identity_survives_the_refactor(self):
         # Disk-cache contexts hash the pickled platform; this digest was

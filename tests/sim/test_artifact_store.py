@@ -8,6 +8,7 @@ import pytest
 from repro.codegen import generate_test_case
 from repro.codegen.wrapper import GenerationOptions
 from repro.sim.artifact import (
+    GLOBAL_ARTIFACT_CACHE,
     DiskArtifactStore,
     TraceArtifact,
     TraceArtifactCache,
@@ -164,12 +165,14 @@ class TestCacheIntegration:
     def test_fresh_cache_loads_from_attached_store(self, tmp_path):
         store = attach_artifact_store(tmp_path)
         program = _program(1)
+        GLOBAL_ARTIFACT_CACHE.clear()
         stats_cold = Simulator(core_by_name("small")).run(
             program, instructions=2_000
         )
         assert len(store) == 1  # run_many persisted the artifact
-        # A brand-new simulator (fresh instance cache, e.g. a new
-        # process) must load from the store instead of rebuilding.
+        # An empty in-memory cache (e.g. a new process) must load from
+        # the store instead of rebuilding.
+        GLOBAL_ARTIFACT_CACHE.clear()
         stats_warm = Simulator(core_by_name("small")).run(
             program, instructions=2_000
         )
@@ -211,13 +214,6 @@ class TestCacheIntegration:
         mg.close()
         # A later cache-less run must not inherit this run's store.
         assert active_artifact_store() is None
-
-    def test_explicit_none_store_opts_out(self, tmp_path):
-        attach_artifact_store(tmp_path)
-        cache = TraceArtifactCache(store=None)
-        assert cache.store is None
-        cache.get_or_build(_program(2), 2_000)
-        assert len(DiskArtifactStore(tmp_path)) == 0
 
     def test_store_attached_later_receives_a_persisted_artifact(
         self, tmp_path

@@ -532,7 +532,9 @@ class TestBatchEntryPoints:
             for engine in ENGINES
         }
         batches_of_one = [
-            Simulator(core, TraceArtifactCache()).run(program)
+            Simulator.run_many(
+                [core], program, artifact_cache=TraceArtifactCache()
+            )[0]
             for core in self.CORES
         ]
         assert runs["vectorized"] == batches_of_one == runs["reference"]

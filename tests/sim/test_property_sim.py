@@ -133,9 +133,10 @@ class TestSimulatorContracts:
             artifact_cache=TraceArtifactCache(),
         )
         batches_of_one = [
-            Simulator(core, TraceArtifactCache()).run(
-                program, instructions=3_000
-            )
+            Simulator.run_many(
+                [core], program, instructions=3_000,
+                artifact_cache=TraceArtifactCache(),
+            )[0]
             for core in cores
         ]
         assert batched == batches_of_one  # full SimStats equality
