@@ -20,10 +20,11 @@ reference speed and are now first-class vectorized paths:
   aperiodic path (set-parallel LRU recency-rank rounds kernel +
   run-compressed TLB replay) must carry the whole sweep with no
   ``memory.vectorized.straight`` or ``memory.reference`` fallbacks.
-* **Tournament predictors** — chooser + bimodal + gshare evaluated as
-  parallel clamp-monoid scans over a shared uint16 radix-sorted layout;
-  gated separately against the reference loop on a branch-heavy trace,
-  one core as a batch of one.
+* **Tournament predictors** — the bimodal component and the chooser
+  scanned in loop order as (iterations, branch sites) step matrices,
+  the gshare component as clamp-monoid scans over a uint16
+  radix-sorted layout; gated separately against the reference loop on
+  a branch-heavy trace, one core as a batch of one.
 
 Times land in ``results/BENCH_batch.json`` (uploaded as a CI artifact)
 so the speedups are tracked across runs.

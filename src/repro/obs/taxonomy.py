@@ -46,7 +46,10 @@ COUNTER_PREFIXES: dict[str, str] = {
                     "memory.batch, branch.batch, icache.batch per "
                     "vectorized batch; memory.vectorized.{periodic,"
                     "aperiodic,straight} per distinct memory key; "
-                    "memory.reference, branch.reference per config) and "
+                    "branch.sites per loop-order predictor-table scan; "
+                    "branch.doubling per sorted branch layout that takes "
+                    "the doubling scan; memory.reference, "
+                    "branch.reference per config) and "
                     "evaluation dispatches (repro.exec.jobs: "
                     "evaluate.batch per chunk, evaluate.group per "
                     "equivalence group)",

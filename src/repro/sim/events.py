@@ -19,8 +19,10 @@ Two engines implement the same semantics:
 * ``engine="reference"`` — the original per-access Python loops, kept as
   the oracle for property tests and as a fallback;
 * ``engine="vectorized"`` (default) — numpy array kernels.  Branch
-  predictors (gshare, bimodal, tournament) are evaluated with segmented
-  saturating-counter scans over precomputed table indices; the memory
+  predictors (gshare, bimodal, tournament) are evaluated with
+  saturating-counter scans: tables indexed by branch site alone scan a
+  loop trace in loop order, history-indexed tables scan segments of a
+  sorted layout of precomputed table indices; the memory
   hierarchy precomputes per-access set indices and page numbers with
   numpy, then either extrapolates the steady state of a periodic trace
   (simulate one cycle of the cache/TLB/prefetcher state machine, skip
@@ -46,8 +48,12 @@ out-of-band as ``engine_path.<stage>.<path>`` counters in the
 :mod:`repro.obs` registry: ``memory.batch``, ``branch.batch`` and
 ``icache.batch`` (one per vectorized batch call),
 ``memory.vectorized.{periodic,aperiodic,straight}`` (one per distinct
-memory key in the batch), and ``memory.reference``/``branch.reference``
-(one per config the reference engine runs).  Read them with
+memory key in the batch), ``branch.sites`` (one per predictor table
+scanned in loop order, see :func:`_site_prestates`),
+``branch.doubling`` (one per sorted branch layout whose scans take the
+doubling kernel, see :func:`_counter_layout`), and
+``memory.reference``/``branch.reference`` (one per config the
+reference engine runs).  Read them with
 ``obs.counters("engine_path.")`` and zero them with
 ``obs.reset("engine_path.")``.  Each path is also logged at DEBUG level.
 """
@@ -1055,7 +1061,9 @@ def branch_event_key(core: CoreConfig) -> tuple:
     )
     if core.name.endswith("-tournament"):
         # The chooser is sized like the bimodal table, so the two index
-        # identically (the vectorized chooser scan relies on it).
+        # identically: where the vectorized engine scans site-indexed
+        # tables on a sorted layout, the chooser reuses its bimodal
+        # component's.
         return ("tournament", entries, entries, history_bits, entries)
     if core.name.endswith("-bimodal"):
         return ("bimodal", entries)
@@ -1076,16 +1084,19 @@ def simulate_branches_batch(
     for the measured window, which starts after ``warmup_branches[i]``
     (clamped) trained-but-uncounted branches.
 
-    Packed global histories are computed once per call, component table
-    indices are stacked along a leading config axis, and every distinct
-    predictor in the batch rides one multi-row :func:`_counter_prestates`
-    scan.  Gshare and bimodal rows are scattered back and counted in
-    program order.  A tournament chooser trains on the component
-    *predictions*, so it needs a second scan; it is sized like its
-    bimodal component (:func:`branch_event_key`), so it is indexed
-    identically, and that scan runs in the bimodal row's sorted domain
-    — its layout reused, nothing permuted back to program order.
-    Bit-identical to N batches of one and to ``engine="reference"``.
+    Counter states do not depend on the warmup, so each distinct table
+    is scanned once per call, whichever cores and warmups share it.
+    History-indexed (gshare) tables, one row per distinct
+    ``(entries, history bits)``, share one packed global history and
+    ride one multi-row :func:`_counter_layout` and
+    :func:`_counter_prestates` scan, scattered back to program order.
+    Tables indexed by branch site alone — bimodal tables and tournament
+    choosers — go through :func:`_site_prestates`, which scans a loop
+    trace in loop order with no sort at all.  A chooser trains on its
+    components' *predictions*, so it is scanned after them, with steps
+    in program order.  Every table's predictions are counted in program
+    order over each core's measured window.  Bit-identical to N batches
+    of one and to ``engine="reference"``.
     """
     if len(cores) != len(warmup_branches):
         raise ValueError("one warmup boundary per core required")
@@ -1115,62 +1126,57 @@ def simulate_branches_batch(
     if not live:
         return [results[slot] for slot in assignment]
     shared: dict = {}
-    pcs = np.asarray(trace.branch_pcs, dtype=np.int64) >> 2
-    rows: list[np.ndarray] = []
-    row_of: dict[int, int] = {}
-    for slot in live:
-        row_of[slot] = len(rows)
-        rows.extend(
-            _component_index_rows(work[slot][0], pcs, outcomes, shared)
-        )
-    layout = _counter_layout(np.stack(rows))
-    order = layout[0]
-    grouped = _counter_prestates(
-        np.where(outcomes, np.int8(1), np.int8(-1)), layout
-    )
-
-    choosers: list[tuple] = []  # (slot, b_row, g_pred_b, b_pred_b, out_b)
-    c_steps: list[np.ndarray] = []
-    for slot in live:
-        (key, warmup), row = work[slot], row_of[slot]
-        if key[0] != "tournament":
-            pred = np.empty(n, dtype=bool)
-            pred[order[row]] = grouped[row] >= 2
-            results[slot] = (
-                int(np.count_nonzero(pred[warmup:] != outcomes[warmup:])),
-                n - warmup,
+    pcs2 = np.asarray(trace.branch_pcs, dtype=np.int64) >> 2
+    steps = np.where(outcomes, np.int8(1), np.int8(-1))
+    keys = list(dict.fromkeys(work[slot][0] for slot in live))
+    # Predictions in program order, per table and per predictor key.
+    preds: dict[tuple, np.ndarray] = {}
+    # (entries, history bits) of every gshare core and tournament
+    # gshare component.
+    histories = list(dict.fromkeys(
+        key[1:] if key[0] == "gshare" else key[2:4]
+        for key in keys if key[0] != "bimodal"
+    ))
+    if histories:
+        layout = _counter_layout(np.stack([
+            _table_index(
+                pcs2, entries, _branch_history(outcomes, bits, shared)
             )
+            for entries, bits in histories
+        ]))
+        states = _counter_prestates(steps, layout)
+        for row, table in enumerate(histories):
+            pred = np.empty(n, dtype=bool)
+            pred[layout[0][row]] = states[row] >= 2
+            preds[("gshare",) + table] = pred
+    # Entries of every bimodal core and tournament bimodal component.
+    for entries in dict.fromkeys(
+        key[1] for key in keys if key[0] != "gshare"
+    ):
+        preds[("bimodal", entries)] = _site_prestates(
+            pcs2, trace.iterations, entries, steps, shared
+        ) >= 2
+    for key in keys:
+        if key[0] != "tournament":
             continue
-        # Gshare row, then bimodal row; both viewed in bimodal order.
-        b_row = row + 1
-        b_order = order[b_row]
-        g_pred = np.empty(n, dtype=bool)
-        g_pred[order[row]] = grouped[row] >= 2
-        g_pred_b = g_pred[b_order]
-        b_pred_b = grouped[b_row] >= 2
-        out_b = outcomes[b_order]
+        _, b_entries, g_entries, history_bits, c_entries = key
+        g_pred = preds[("gshare", g_entries, history_bits)]
+        b_pred = preds[("bimodal", b_entries)]
         # Chooser step: +1/-1 toward gshare when the components
         # disagree and gshare was right/wrong, else 0 — which is just
         # (gshare correct) - (bimodal correct).
-        c_steps.append(
-            (g_pred_b == out_b).view(np.int8)
-            - (b_pred_b == out_b).view(np.int8)
+        c_steps = (
+            (g_pred == outcomes).view(np.int8)
+            - (b_pred == outcomes).view(np.int8)
         )
-        choosers.append((slot, b_row, g_pred_b, b_pred_b, out_b))
-    if choosers:
-        c_states = _counter_prestates(
-            np.stack(c_steps),
-            _layout_rows(layout, [c[1] for c in choosers], n),
-            grouped_steps=True,
+        chooser = _site_prestates(
+            pcs2, trace.iterations, c_entries, c_steps, shared
         )
-        for (slot, b_row, g_pred_b, b_pred_b, out_b), c_state in zip(
-            choosers, c_states
-        ):
-            warmup = work[slot][1]
-            wrong = np.where(c_state >= 2, g_pred_b, b_pred_b) != out_b
-            if warmup:
-                wrong &= order[b_row] >= warmup
-            results[slot] = (int(np.count_nonzero(wrong)), n - warmup)
+        preds[key] = np.where(chooser >= 2, g_pred, b_pred)
+    for slot in live:
+        key, warmup = work[slot]
+        wrong = preds[key][warmup:] != outcomes[warmup:]
+        results[slot] = (int(np.count_nonzero(wrong)), n - warmup)
     return [results[slot] for slot in assignment]
 
 
@@ -1323,81 +1329,102 @@ def _branch_history(
     return history
 
 
-def _component_index_rows(
-    key: tuple,
-    pcs2: np.ndarray,
-    outcomes: np.ndarray,
-    shared: dict,
+def _table_index(
+    pcs2: np.ndarray, entries: int, history: np.ndarray | None = None
 ) -> np.ndarray:
-    """Per-access table indices for a predictor's component tables,
-    stacked as one matrix (tournament: gshare row then bimodal row;
-    others: one row).
+    """Per-access index into a table of ``entries`` counters: the branch
+    site ``pc >> 2``, XORed with the packed global history for gshare.
 
     Tables that fit (≤ 2**15 entries — all of Table II) are indexed in
-    uint16: masking distributes over the gshare XOR, so the whole row
-    is built quarter-width, which also puts the downstream layout sort
-    straight onto numpy's 16-bit radix path.
+    uint16: masking distributes over the XOR, so the whole row is built
+    quarter-width, which also puts the layout sort straight onto numpy's
+    16-bit radix path.
     """
-    kind = key[0]
-    if kind == "tournament":
-        _, b_entries, g_entries, g_history_bits, _ = key
-        specs = [
-            (g_entries, g_history_bits,
-             _branch_history(outcomes, g_history_bits, shared)),
-            (b_entries, 0, None),
-        ]
-    elif kind == "gshare":
-        _, entries, history_bits = key
-        specs = [
-            (entries, history_bits,
-             _branch_history(outcomes, history_bits, shared)),
-        ]
-    else:
-        specs = [(key[1], 0, None)]
-    narrow = all(
-        entries <= 1 << 15
-        and (history is None or history.dtype == np.uint16)
-        for entries, _, history in specs
+    narrow = entries <= 1 << 15 and (
+        history is None or history.dtype == np.uint16
     )
     dtype = np.uint16 if narrow else np.int64
-    out = np.empty((len(specs), pcs2.shape[0]), dtype=dtype)
-    masked: dict[int, np.ndarray] = {}
-    for row, (entries, history_bits, history) in enumerate(specs):
-        base = masked.get(entries)
-        if base is None:
-            base = np.bitwise_and(
-                pcs2, entries - 1, dtype=dtype, casting="unsafe"
-            )
-            masked[entries] = base
-        if history is None:
-            out[row] = base
-        else:
-            np.bitwise_xor(
-                base, history.astype(dtype, copy=False), out=out[row]
-            )
-            if (1 << history_bits) > entries:
-                out[row] &= entries - 1
-    return out
+    index = np.bitwise_and(pcs2, entries - 1, dtype=dtype, casting="unsafe")
+    if history is not None:
+        index ^= history.astype(dtype, copy=False)
+        index &= entries - 1
+    return index
+
+
+def _loop_sites(pcs2: np.ndarray, iterations: int) -> int:
+    """Branch sites per iteration, S, when the trace is ``iterations``
+    repeats of one S-branch sequence (every iteration's PCs equal the
+    first's); 0 when it is not."""
+    n = int(pcs2.shape[0])
+    if iterations < 1 or n % iterations:
+        return 0
+    body = pcs2.reshape(iterations, n // iterations)
+    return body.shape[1] if bool((body == body[0]).all()) else 0
+
+
+def _site_prestates(
+    pcs2: np.ndarray,
+    iterations: int,
+    entries: int,
+    steps: np.ndarray,
+    shared: dict,
+) -> np.ndarray:
+    """Pre-access counter states, in program order, of a table indexed
+    by branch site alone (``pc >> 2`` masked to ``entries``): a bimodal
+    table or a tournament chooser.  ``steps`` are in program order.
+
+    An expanded loop visits the same S sites in each of its K
+    iterations, so when no two sites share an entry, column ``s`` of
+    the (K, S) step matrix is site ``s``'s entry's whole access stream,
+    in order: :func:`_rounds_prestates` scans it in loop order, with no
+    index row, sort, scatter or gather (one ``branch.sites`` path).  The
+    loop structure is checked, never assumed, and the path applies where
+    the rounds kernel's own bounds hold for the table's one row
+    (:func:`_rounds_feasible` with K-long segments: S ≥
+    ``_ROUNDS_IMBALANCE``).  Aliased sites, non-loop traces and narrow
+    loops scan on the table's own one-row sorted layout, kept in
+    ``shared`` per table size, so a chooser rides its bimodal
+    component's.
+    """
+    n = int(steps.shape[0])
+    sites = _shared_get(
+        shared, ("sites",), lambda: _loop_sites(pcs2, iterations)
+    )
+    if (
+        sites
+        and _rounds_feasible(n, n // sites)
+        and np.unique(pcs2[:sites] & (entries - 1)).size == sites
+    ):
+        _record_path("branch.sites")
+        return _rounds_prestates(steps.reshape(-1, sites)).reshape(n)
+    layout = _shared_get(
+        shared, ("layout", entries),
+        lambda: _counter_layout(_table_index(pcs2, entries)[None]),
+    )
+    pre = np.empty(n, dtype=np.int8)
+    pre[layout[0][0]] = _counter_prestates(steps, layout)[0]
+    return pre
 
 
 def _counter_layout(indices: np.ndarray) -> tuple:
     """Segment layout grouping each table entry's accesses in program
     order, per row of an (R, n) index matrix.
 
-    Returns ``(order, seg_start, starts, seg_id, pos, max_len)``:
+    Returns ``(order, seg_start, starts, seg_id, pos, rounds)``:
     the per-row stable sort order, segment-start mask, and — over the
     row-major flattening, where each row's segments stay contiguous —
     flat segment start offsets, each element's segment id, its offset
-    within that segment, and the longest segment.
+    within that segment, and the scan kernel's round count: the longest
+    segment when the rounds kernel fits the layout, else 0, when every
+    scan over the layout takes the doubling kernel (recorded once per
+    layout as ``branch.doubling``; see :func:`_counter_prestates`).
 
     Kept apart from :func:`_counter_prestates` so callers can reuse a
-    layout across scans over the *same* index rows — the tournament
-    chooser is indexed identically to its bimodal component, so its
-    second-phase scan rides the component's ordering for free (see
-    :func:`_layout_rows`).  Table indices are bounded by the table
-    size, so they almost always arrive (or fit) 16-bit — where numpy's
-    stable sort is a radix sort an order of magnitude faster than the
-    32/64-bit comparison sorts.
+    layout across scans over the *same* index rows — a tournament
+    chooser off the loop path scans on its bimodal component's layout.
+    Table indices are bounded by the table size, so they almost always
+    arrive (or fit) 16-bit — where numpy's stable sort is a radix sort
+    an order of magnitude faster than the 32/64-bit comparison sorts.
     """
     if indices.dtype in (np.uint16, np.int16):
         keys = indices
@@ -1416,60 +1443,69 @@ def _counter_layout(indices: np.ndarray) -> tuple:
     total = indices.size
     pos = np.arange(total, dtype=np.int32) - starts[seg_id]
     max_len = int(np.diff(np.append(starts, total)).max()) if total else 0
-    return order, seg_start, starts, seg_id, pos, max_len
+    n = indices.shape[1]
+    if (
+        _rounds_feasible(n, max_len)
+        and starts.shape[0] * max_len <= 4 * total
+    ):
+        return order, seg_start, starts, seg_id, pos, max_len
+    _record_path("branch.doubling")
+    return order, seg_start, starts, seg_id, pos, 0
 
 
-def _layout_rows(layout: tuple, rows: list[int], n: int) -> tuple:
-    """Sub-layout of :func:`_counter_layout` restricted to ``rows``.
+def _rounds_prestates(steps: np.ndarray) -> np.ndarray:
+    """Pre-step 2-bit saturating-counter states down every column of an
+    (L, W) int8 step matrix: column ``w`` is one counter, starting
+    weakly taken (2), that takes step ``steps[r, w]`` at round ``r``.
 
-    Re-bases the flat segment metadata instead of re-deriving it, so a
-    scan over a subset of already-laid-out index rows (the tournament
-    chooser reusing its bimodal component's rows) skips the sort *and*
-    the cumulative segment passes.  ``max_len`` keeps the parent's
-    value — an upper bound, exact whenever the selected rows contain
-    the longest segment.
+    All W counters step together, so the sequential loop runs over
+    rounds, never over accesses.  Adjacent steps are pre-composed
+    pairwise — two saturating steps collapse into one clamp
+    ``min(b, max(a, s + d))`` — halving the round count; odd rounds are
+    filled back in with a single vectorized clip at the end.  Raw ufunc
+    calls with explicit outputs: np.clip's dispatch overhead rivals the
+    array work itself at these widths.
     """
-    order, seg_start, starts, seg_id, pos, max_len = layout
-    starts_parts, segid_parts, pos_parts = [], [], []
-    seg_base = 0
-    for k, r in enumerate(rows):
-        lo, hi = r * n, (r + 1) * n
-        s0 = int(seg_id[lo])
-        s1 = int(seg_id[hi - 1]) + 1
-        starts_parts.append(starts[s0:s1] + np.int32((k - r) * n))
-        segid_parts.append(seg_id[lo:hi] + np.int32(seg_base - s0))
-        pos_parts.append(pos[lo:hi])
-        seg_base += s1 - s0
-    return (
-        order[rows],
-        seg_start[rows],
-        np.concatenate(starts_parts) if rows else starts[:0],
-        np.concatenate(segid_parts) if rows else seg_id[:0],
-        np.concatenate(pos_parts) if rows else pos[:0],
-        max_len,
-    )
+    length, width = steps.shape
+    half = (length + 1) // 2
+    d1, d2 = steps[0::2], steps[1::2]
+    comp_a = np.maximum(d2, 0)
+    comp_b = np.minimum(d2 + 3, 3)
+    comp_d = d1[: d2.shape[0]] + d2
+    even = np.empty((half, width), dtype=np.int8)
+    even[0] = 2
+    for r in range(1, half):
+        np.add(even[r - 1], comp_d[r - 1], out=even[r])
+        np.maximum(even[r], comp_a[r - 1], out=even[r])
+        np.minimum(even[r], comp_b[r - 1], out=even[r])
+    odd = even[: length // 2] + d1[: length // 2]
+    np.maximum(odd, 0, out=odd)
+    np.minimum(odd, 3, out=odd)
+    pre = np.empty((length, width), dtype=np.int8)
+    pre[0::2] = even
+    pre[1::2] = odd
+    return pre
 
 
-def _counter_prestates(
-    steps: np.ndarray,
-    layout: tuple,
-    grouped_steps: bool = False,
-) -> np.ndarray:
+def _counter_prestates(steps: np.ndarray, layout: tuple) -> np.ndarray:
     """Pre-access 2-bit saturating-counter states for R independent
     tables at once.
 
     ``layout`` (:func:`_counter_layout` over an (R, n) index matrix)
     groups each table's accesses by entry, making each table entry an
-    independent segment; ``steps`` gives the saturating step per access.
-    The segments are evaluated by one of two bit-identical kernels:
+    independent segment; ``steps`` gives the saturating step per access,
+    1-D in program order (every row steps identically).  The segments
+    are evaluated by the kernel the layout chose; both are
+    bit-identical:
 
     * **rounds** (the fast path on loop branch traces, whose segments —
       one per static branch site per table — are long and plentiful):
-      every segment steps its walk simultaneously, one numpy
-      ``clip(state + d)`` per stream position over a padded
-      (position, segment) matrix.  The round count is the longest
-      segment (≈ the loop iteration count), *independent of the trace
-      length*, so cost is dominated by the O(n) layout passes.
+      the steps are padded into a (position, segment) matrix and
+      :func:`_rounds_prestates` walks every segment at once.  The round
+      count is the longest segment (≈ the loop iteration count),
+      *independent of the trace length*, so cost is dominated by the
+      O(n) layout passes.  Zero-padding freezes exhausted segments
+      (clip(s + 0) = s), so the rounds need no activity masking.
     * **doubling scan** (fallback for short or skewed segment layouts
       where padding would blow up): a run of saturating steps composes
       into a clamp ``x -> min(b, max(a, x + d))``, and a Hillis–Steele
@@ -1481,57 +1517,14 @@ def _counter_prestates(
     ride the same machinery.  Returns the int8 counter value *before*
     each access (initial state: weakly taken, 2) in the layout's sorted
     domain: row r lists its accesses in ``order[r]`` sequence.
-
-    ``steps`` is 1-D in program order when every row steps identically
-    (the component tables, which train on the outcome), or — with
-    ``grouped_steps`` — (R, n) already in the sorted domain (the
-    tournament chooser phase, whose steps come from component
-    predictions).
     """
-    order, seg_start, starts, seg_id, pos, max_len = layout
+    order, seg_start, starts, seg_id, pos, rounds = layout
     rows, n = order.shape
-    if grouped_steps:
-        d8 = steps.astype(np.int8, copy=False).reshape(rows, n)
-    else:
-        d8 = steps.astype(np.int8, copy=False)[order]
-
-    total = rows * n
-    if (
-        n >= _MIN_ROUNDS_TRACE
-        and max_len <= n // _ROUNDS_IMBALANCE
-        and starts.shape[0] * max_len <= 4 * total
-    ):
-        num_segs = starts.shape[0]
-        # Zero-padding freezes exhausted segments (clip(s + 0) = s), so
-        # the rounds loop needs no activity masking; (position, segment)
-        # layout keeps each round's reads contiguous.  Raw ufunc calls
-        # with explicit outputs: np.clip's dispatch overhead rivals the
-        # array work itself at these widths.  Adjacent steps are
-        # pre-composed pairwise — two saturating steps collapse into
-        # one clamp ``min(b, max(a, s + d))`` — halving the sequential
-        # round count; odd positions are filled back in with a single
-        # vectorized clip at the end.
-        paired = max_len + (max_len & 1)
-        mat = np.zeros((paired, num_segs), dtype=np.int8)
+    d8 = steps.astype(np.int8, copy=False)[order]
+    if rounds:
+        mat = np.zeros((rounds, starts.shape[0]), dtype=np.int8)
         mat[pos, seg_id] = d8.ravel()
-        d1, d2 = mat[0::2], mat[1::2]
-        comp_a = np.maximum(d2, 0)
-        comp_b = np.minimum(d2 + 3, 3)
-        comp_d = d1 + d2
-        half = paired // 2
-        even = np.empty((half, num_segs), dtype=np.int8)
-        even[0] = 2
-        for r in range(1, half):
-            np.add(even[r - 1], comp_d[r - 1], out=even[r])
-            np.maximum(even[r], comp_a[r - 1], out=even[r])
-            np.minimum(even[r], comp_b[r - 1], out=even[r])
-        odd = even + d1
-        np.maximum(odd, 0, out=odd)
-        np.minimum(odd, 3, out=odd)
-        pre = np.empty((paired, num_segs), dtype=np.int8)
-        pre[0::2] = even
-        pre[1::2] = odd
-        return pre[pos, seg_id].reshape(rows, n)
+        return _rounds_prestates(mat)[pos, seg_id].reshape(rows, n)
 
     # Each step is f(x) = min(3, max(0, x + step)): triple (a=0, b=3, d).
     d = d8.astype(np.int64)

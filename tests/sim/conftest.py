@@ -63,6 +63,22 @@ def branch_trace(pcs, outcomes) -> ExpandedTrace:
     )
 
 
+def loop_branch_trace(site_pcs, iterations, outcomes) -> ExpandedTrace:
+    """A synthetic branch trace of ``iterations`` loop iterations over
+    the same ``site_pcs`` (iteration-major, like an expanded program)."""
+    return ExpandedTrace(
+        iterations=iterations,
+        loop_size=len(site_pcs),
+        line_bytes=64,
+        mem_pcs=np.empty(0, dtype=np.int64),
+        mem_lines=np.empty(0, dtype=np.int64),
+        mem_is_store=np.empty(0, dtype=bool),
+        branch_pcs=np.tile(np.asarray(site_pcs, dtype=np.int64), iterations),
+        branch_outcomes=np.asarray(outcomes, dtype=bool),
+        class_counts={},
+    )
+
+
 def memory_events_every_engine(core, trace, warmup) -> MemoryEvents:
     """One core's memory events, asserted equal under every engine."""
     first, *rest = (

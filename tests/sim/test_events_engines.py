@@ -19,6 +19,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.sim.events as events_mod
 from repro import obs
@@ -39,6 +41,7 @@ from repro.sim.events import (
 from tests.sim.conftest import (
     branch_events,
     branch_trace,
+    loop_branch_trace,
     mem_trace,
     memory_events,
 )
@@ -47,6 +50,13 @@ KNOBS = dict(ADD=5, MUL=1, FADDD=1, FMULD=1, BEQ=1, BNE=1,
              LD=3, LW=1, SD=1, SW=1,
              REG_DIST=4, MEM_STRIDE=64,
              MEM_TEMP1=2, MEM_TEMP2=1, B_PATTERN=0.3)
+
+#: perfbench's core-sweep program (a 680-instruction loop of 127
+#: branch sites).
+SWEEP_KNOBS = dict(ADD=4, MUL=1, FADDD=1, FMULD=1, BEQ=2, BNE=1,
+                   LD=3, LW=1, SD=1, SW=1,
+                   REG_DIST=4, MEM_SIZE=2048, MEM_STRIDE=64,
+                   MEM_TEMP1=2, MEM_TEMP2=7, B_PATTERN=0.3)
 
 #: Footprint knob values (KB) spanning the hierarchy: fits in L1 /
 #: fits in L2 / streams past the L2.
@@ -356,6 +366,37 @@ class TestEnginePathObservability:
             "engine_path.branch.reference": 1,
         }
 
+    def test_core_sweep_batch_scans_site_tables_in_loop_order(
+        self, monkeypatch
+    ):
+        # perfbench's core-sweep program, one gshare core and its
+        # tournament twin, as in that sweep.
+        program = generate_test_case(
+            SWEEP_KNOBS, GenerationOptions(loop_size=680)
+        )
+        artifact = TraceArtifact.build(program, 800_000)
+        cores = [SMALL_CORE, replace(SMALL_CORE, name="small-tournament")]
+        schedules = [artifact.schedule(core, 0.2) for core in cores]
+        [iterations] = {w + m for w, m in schedules}
+        trace = artifact.trace(iterations, SMALL_CORE.l1d.line_bytes)
+        layouts = []
+        counter_layout = events_mod._counter_layout
+
+        def counting(indices):
+            layouts.append(indices.shape)
+            return counter_layout(indices)
+
+        monkeypatch.setattr(events_mod, "_counter_layout", counting)
+        simulate_branches_batch(
+            cores, trace, [w * artifact.br_per_iter for w, _ in schedules]
+        )
+        counts = obs.counters("engine_path.")
+        # Bimodal component and chooser scan in loop order; the gshare
+        # core and the tournament's gshare component share one row.
+        assert counts.get("engine_path.branch.sites") == 2
+        assert "engine_path.branch.doubling" not in counts
+        assert layouts == [(1, trace.branch_pcs.shape[0])]
+
     def test_reset_clears(self):
         branch_events(
             SMALL_CORE, branch_trace([4], [True]), 0, engine="reference"
@@ -389,6 +430,92 @@ class TestTournamentAndBimodalAgreement:
                 ) == branch_events(
                     core, trace, warmup, engine="vectorized"
                 )
+
+
+def aliased_sites(rng, sites, alias):
+    """``sites`` distinct branch PCs, with about half of them moved by a
+    multiple of ``alias`` entries (0: none) onto another site's entry
+    in every table of at most ``alias`` entries."""
+    pc2 = rng.choice(1 << 12, sites, replace=False)
+    if alias:
+        moved = rng.choice(sites, sites // 2, replace=False)
+        for i in moved:
+            pc2[i] = pc2[rng.integers(sites)] % alias + alias * (
+                1 + rng.integers(4)
+            )
+    return pc2 * 4
+
+
+class TestLoopOrderBranchAgreement:
+    """Site-indexed tables (bimodal, tournament chooser) scan loop traces
+    in loop order; sites that alias in a table take its sorted layout.
+    A mixed batch must equal batches of one and the reference loops
+    whichever path each table takes."""
+
+    CORES = [
+        replace(base, name=base.name + suffix)
+        for base in (SMALL_CORE, LARGE_CORE)
+        for suffix in ("", "-bimodal", "-tournament")
+    ] + [replace(SMALL_CORE, name="small-tournament")]  # second warmup
+
+    @given(
+        sites=st.integers(1, 64),
+        iterations=st.integers(1, 400),
+        alias=st.sampled_from([0, 4096, 16384]),
+        taken=st.floats(0.5, 1.0),
+        broken=st.booleans(),
+        seed=st.integers(0, 2 ** 32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_loop_traces_agree(
+        self, sites, iterations, alias, taken, broken, seed, data
+    ):
+        rng = np.random.default_rng(seed)
+        n = sites * iterations
+        trace = loop_branch_trace(
+            aliased_sites(rng, sites, alias), iterations,
+            rng.random(n) < taken,
+        )
+        if broken:
+            # One iteration visits its sites in another order: the
+            # trace is no longer a loop.
+            k = rng.integers(iterations) * sites
+            trace.branch_pcs[k:k + sites] = np.roll(
+                trace.branch_pcs[k:k + sites], 1
+            )
+        warmups = [
+            data.draw(st.integers(0, n + 1)) for _ in self.CORES
+        ]
+        batch = simulate_branches_batch(self.CORES, trace, warmups)
+        singles = [
+            branch_events(core, trace, warmup)
+            for core, warmup in zip(self.CORES, warmups)
+        ]
+        assert batch == singles
+        assert batch == simulate_branches_batch(
+            self.CORES, trace, warmups, engine="reference"
+        )
+
+    def test_aliased_table_takes_the_sorted_layout(self):
+        # Two sites share an entry in 4,096-entry tables only: the small
+        # bimodal table scans its sorted layout, the large one in loop
+        # order.
+        rng = np.random.default_rng(41)
+        site_pcs = aliased_sites(rng, 32, 0)
+        site_pcs[1] = site_pcs[0] + 4096 * 4
+        trace = loop_branch_trace(
+            site_pcs, 50, rng.random(32 * 50) < 0.8
+        )
+        for name, sites_paths in (("small-bimodal", 0), ("large-bimodal", 1)):
+            base = LARGE_CORE if name.startswith("large") else SMALL_CORE
+            core = replace(base, name=name)
+            obs.reset("engine_path.")
+            assert branch_events(core, trace, 10) == branch_events(
+                core, trace, 10, engine="reference"
+            )
+            counts = obs.counters("engine_path.")
+            assert counts.get("engine_path.branch.sites", 0) == sites_paths
 
 
 class TestAperiodicVectorizedAgreement:

@@ -102,10 +102,15 @@ class TestSimulatorContracts:
         assert abs(total - stats.cycles) / stats.cycles < 1e-6
         assert isinstance(stats.binding_bound, str) and stats.binding_bound
 
-    @given(fast_lattice_config, st.sampled_from(["small", "large"]))
+    @given(fast_lattice_config, st.sampled_from([
+        base + suffix
+        for base in ("small", "large")
+        for suffix in ("", "-bimodal", "-tournament")
+    ]))
     @settings(max_examples=15, deadline=None)
     def test_event_engines_agree(self, config, core_name):
-        core = SMALL_CORE if core_name == "small" else LARGE_CORE
+        base = LARGE_CORE if core_name.startswith("large") else SMALL_CORE
+        core = replace(base, name=core_name)
         program = generate_test_case(config, GenerationOptions(loop_size=80))
         reference = Simulator(core).run(
             program, instructions=3_000, engine="reference"
